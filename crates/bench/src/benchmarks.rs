@@ -26,15 +26,6 @@
 //!   speedup is exactly 1.0 instead of thread-pool noise. The recorded
 //!   `available_parallelism` and `effective_jobs` label such rows.
 //!
-//! - **shards**: the conservative-lookahead sharded driver's scaling
-//!   curve. One fixed Laminar system run is repeated at shard counts 1,
-//!   2, 4, and 8 (requested raw, not clamped — on a small machine the
-//!   extra workers timeshare, and the point of the curve is the sharded
-//!   code path itself), recording wall seconds per shard count plus a
-//!   determinism verdict: every leg's report debug string and JSONL event
-//!   trace must be byte-identical to the serial leg's. A `false` there is
-//!   a correctness bug, never noise.
-//!
 //! - **checkpoint**: the incremental-checkpoint cost profile. The
 //!   recovery-scenario Laminar run (faults on, trace recording on) runs
 //!   through `check_resume_equivalence` at a fixed 20 s cadence: every
@@ -57,22 +48,19 @@
 //!
 //! The JSON is hand-rolled (the workspace is dependency-free); the schema
 //! is documented in the README and stamped with a `schema` version so the
-//! diff script can reject incompatible files. Schema 3 adds the
-//! `shard_curve` block; schema 4 adds the `checkpoint` block; schema 5
-//! adds the `fleet` block (acceptance-scenario dip/MTTR/starvation plus
-//! the `jobs_deterministic` verdict over the fleet-chaos sweep); schema 6
-//! adds the `window_stats` block inside `shard_curve` (barriers per run,
-//! central events per fence window, batch sizes — the fence-batching
-//! driver's parallel-window profile) plus per-shard allocation counts.
-//! Every earlier key name is kept so existing diff tooling keeps working.
+//! diff script can reject incompatible files. Schema 4 adds the
+//! `checkpoint` block; schema 5 adds the `fleet` block (acceptance-scenario
+//! dip/MTTR/starvation plus the `jobs_deterministic` verdict over the
+//! fleet-chaos sweep); schema 7 drops the scaling-curve block of the
+//! deleted sharded driver. Every other key name is kept so existing diff
+//! tooling keeps working.
 
 use crate::alloc_count::{self, AllocStats};
 use crate::experiments::{all_experiment_ids, run_experiment, Opts};
 use crate::runner::effective_jobs;
 use laminar_cluster::{DecodeModel, GpuSpec, ModelSpec};
-use laminar_core::{placement_for, LaminarSystem, SystemKind, WindowStats};
+use laminar_core::{LaminarSystem, SystemKind};
 use laminar_rollout::{EngineConfig, NaiveReplicaEngine, ReplicaEngine};
-use laminar_runtime::{RecordingTrace, SystemConfig};
 use laminar_sim::{ThroughputMeter, Time};
 use laminar_workload::{Checkpoint, WorkloadGenerator};
 use std::fmt::Write as _;
@@ -97,183 +85,6 @@ impl MicroLeg {
             allocs_per_event: stats.allocs as f64 / events.max(1) as f64,
             peak_bytes: stats.peak_bytes,
         }
-    }
-}
-
-/// One point of the sharded-driver scaling curve.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardPoint {
-    /// Requested shard count (worker threads between lookahead fences).
-    pub shards: usize,
-    /// Wall seconds for the fixed system run at this shard count.
-    pub secs: f64,
-    /// Fence-window profile of the run (all-zero on the serial driver,
-    /// which fences nothing).
-    pub stats: WindowStats,
-    /// Allocator round trips during the run (0 when the counting
-    /// allocator is not registered).
-    pub allocs: u64,
-}
-
-/// Serial-over-best-sharded wall-clock ratio across `curve` (1.0 when no
-/// comparison is possible).
-fn shard_speedup(curve: &[ShardPoint]) -> f64 {
-    let serial = curve.iter().find(|p| p.shards == 1).map(|p| p.secs);
-    let best = curve
-        .iter()
-        .filter(|p| p.shards > 1)
-        .map(|p| p.secs)
-        .min_by(f64::total_cmp);
-    match (serial, best) {
-        (Some(s), Some(b)) => s / b.max(1e-12),
-        _ => 1.0,
-    }
-}
-
-/// Writes the schema-6 `window_stats` object (keys per sharded point) at
-/// `indent`, shared by the full bench report and the standalone
-/// shard-curve report.
-fn write_window_stats_block(s: &mut String, indent: &str, curve: &[ShardPoint]) {
-    let sharded: Vec<&ShardPoint> = curve.iter().filter(|p| p.shards > 1).collect();
-    let by = |f: &dyn Fn(&ShardPoint) -> String| -> String {
-        sharded
-            .iter()
-            .map(|p| format!("\"{}\": {}", p.shards, f(p)))
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let _ = writeln!(s, "{indent}\"window_stats\": {{");
-    let _ = writeln!(
-        s,
-        "{indent}  \"barriers_by_shards\": {{{}}},",
-        by(&|p| format!("{}", p.stats.barriers))
-    );
-    let _ = writeln!(
-        s,
-        "{indent}  \"events_per_window_by_shards\": {{{}}},",
-        by(&|p| format!("{:.3}", p.stats.events_per_window()))
-    );
-    let _ = writeln!(
-        s,
-        "{indent}  \"batched_windows_by_shards\": {{{}}},",
-        by(&|p| format!("{}", p.stats.batched_windows))
-    );
-    let _ = writeln!(
-        s,
-        "{indent}  \"max_batch_by_shards\": {{{}}},",
-        by(&|p| format!("{}", p.stats.max_batch))
-    );
-    let _ = writeln!(
-        s,
-        "{indent}  \"handoff_replays_by_shards\": {{{}}},",
-        by(&|p| format!("{}", p.stats.handoff_replays))
-    );
-    let _ = writeln!(
-        s,
-        "{indent}  \"allocs_by_shards\": {{{}}}",
-        by(&|p| format!("{}", p.allocs))
-    );
-    let _ = writeln!(s, "{indent}}}");
-}
-
-/// The standalone shard-curve leg — the CI multi-core datapoint. Same
-/// measurement as the `shard_curve` block of the full bench report, with
-/// its own small schema-6 JSON wrapper so the curve can run (and upload)
-/// in seconds without the rest of the suite.
-#[derive(Debug, Clone)]
-pub struct ShardCurveReport {
-    /// `"smoke"` or `"full"`.
-    pub mode: &'static str,
-    /// The machine's available parallelism at run time.
-    pub available_parallelism: usize,
-    /// See [`BenchReport::shard_curve`].
-    pub points: Vec<ShardPoint>,
-    /// See [`BenchReport::shard_deterministic`].
-    pub deterministic: bool,
-}
-
-impl ShardCurveReport {
-    /// Serial-over-best-sharded wall-clock ratio.
-    pub fn speedup(&self) -> f64 {
-        shard_speedup(&self.points)
-    }
-
-    /// Serializes the standalone report (a `shard_curve` block plus run
-    /// context, same schema-6 keys as the full bench report).
-    pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"schema\": 6,");
-        let _ = writeln!(s, "  \"mode\": \"{}\",", self.mode);
-        let _ = writeln!(
-            s,
-            "  \"available_parallelism\": {},",
-            self.available_parallelism
-        );
-        let _ = writeln!(s, "  \"shard_curve\": {{");
-        let secs: Vec<String> = self
-            .points
-            .iter()
-            .map(|p| format!("\"{}\": {:.3}", p.shards, p.secs))
-            .collect();
-        let _ = writeln!(s, "    \"secs_by_shards\": {{{}}},", secs.join(", "));
-        let _ = writeln!(s, "    \"deterministic\": {},", self.deterministic);
-        let _ = writeln!(s, "    \"speedup\": {:.2},", self.speedup());
-        write_window_stats_block(&mut s, "    ", &self.points);
-        let _ = writeln!(s, "  }}");
-        let _ = writeln!(s, "}}");
-        s
-    }
-
-    /// Human-readable summary for the terminal.
-    pub fn summary(&self) -> String {
-        let points = self
-            .points
-            .iter()
-            .map(|p| format!("{}:{:.2}s", p.shards, p.secs))
-            .collect::<Vec<_>>()
-            .join(" | ");
-        let windows = self
-            .points
-            .iter()
-            .filter(|p| p.shards > 1)
-            .map(|p| {
-                format!(
-                    "{}: {} barriers, {:.2} ev/window, max batch {}",
-                    p.shards,
-                    p.stats.barriers,
-                    p.stats.events_per_window(),
-                    p.stats.max_batch
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(" | ");
-        format!(
-            "shards: {points} | {:.2}x | deterministic: {} | cores {}\n\
-             window: {windows}",
-            self.speedup(),
-            self.deterministic,
-            self.available_parallelism,
-        )
-    }
-
-    /// Writes the JSON report to `path`.
-    pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        std::fs::write(path, self.to_json())
-    }
-}
-
-/// Runs only the shard-curve leg with allocation accounting bracketed
-/// around it. See [`ShardCurveReport`].
-pub fn run_shard_curve(smoke: bool) -> ShardCurveReport {
-    alloc_count::enable();
-    let (points, deterministic) = time_shard_curve(smoke);
-    alloc_count::disable();
-    ShardCurveReport {
-        mode: if smoke { "smoke" } else { "full" },
-        available_parallelism: crate::runner::default_jobs(),
-        points,
-        deterministic,
     }
 }
 
@@ -364,13 +175,6 @@ pub struct BenchReport {
     pub indexed: MicroLeg,
     /// Slab-indexed engine with span tracing + JSONL serialization.
     pub traced: MicroLeg,
-    /// Sharded-driver scaling curve: wall seconds for one fixed Laminar
-    /// system run at each shard count, serial (1) first.
-    pub shard_curve: Vec<ShardPoint>,
-    /// True when every shard count produced the byte-identical report and
-    /// JSONL event trace the serial driver did. Deterministic by design —
-    /// `false` is a correctness regression, not noise.
-    pub shard_deterministic: bool,
     /// Incremental-checkpoint cost profile of the recovery scenario.
     pub checkpoint: CheckpointBench,
     /// Fleet control-plane profile (acceptance scenario + jobs-invariance
@@ -404,19 +208,11 @@ impl BenchReport {
         self.serial_secs / self.parallel_secs.max(1e-12)
     }
 
-    /// Serial-over-best-sharded wall-clock ratio (1.0 when the curve is
-    /// empty). Below 1.0 on machines where the shard workers timeshare a
-    /// single core — the determinism verdict is the load-bearing output
-    /// there.
-    pub fn shard_speedup(&self) -> f64 {
-        shard_speedup(&self.shard_curve)
-    }
-
     /// Serializes the report (see README for the schema).
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"schema\": 6,");
+        let _ = writeln!(s, "  \"schema\": 7,");
         let _ = writeln!(s, "  \"mode\": \"{}\",", self.mode);
         let _ = writeln!(s, "  \"jobs\": {},", self.jobs);
         let _ = writeln!(
@@ -469,17 +265,6 @@ impl BenchReport {
         );
         let _ = writeln!(s, "    \"traced_peak_bytes\": {},", self.traced.peak_bytes);
         let _ = writeln!(s, "    \"speedup\": {:.2}", self.micro_speedup());
-        let _ = writeln!(s, "  }},");
-        let _ = writeln!(s, "  \"shard_curve\": {{");
-        let secs: Vec<String> = self
-            .shard_curve
-            .iter()
-            .map(|p| format!("\"{}\": {:.3}", p.shards, p.secs))
-            .collect();
-        let _ = writeln!(s, "    \"secs_by_shards\": {{{}}},", secs.join(", "));
-        let _ = writeln!(s, "    \"deterministic\": {},", self.shard_deterministic);
-        let _ = writeln!(s, "    \"speedup\": {:.2},", self.shard_speedup());
-        write_window_stats_block(&mut s, "    ", &self.shard_curve);
         let _ = writeln!(s, "  }},");
         let c = &self.checkpoint;
         let _ = writeln!(s, "  \"checkpoint\": {{");
@@ -545,32 +330,9 @@ impl BenchReport {
         } else {
             "allocs: counting allocator not registered (columns read zero)".to_string()
         };
-        let shard_note = self
-            .shard_curve
-            .iter()
-            .map(|p| format!("{}:{:.2}s", p.shards, p.secs))
-            .collect::<Vec<_>>()
-            .join(" | ");
-        let window_note = self
-            .shard_curve
-            .iter()
-            .filter(|p| p.shards > 1)
-            .map(|p| {
-                format!(
-                    "{}: {} barriers, {:.2} ev/window, max batch {}",
-                    p.shards,
-                    p.stats.barriers,
-                    p.stats.events_per_window(),
-                    p.stats.max_batch
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(" | ");
         format!(
             "micro : {} trajectories | naive {:>10.0} ev/s | indexed {:>10.0} ev/s | traced {:>10.0} ev/s | {:.2}x\n\
              {alloc_note}\n\
-             shards: {shard_note} | {:.2}x | deterministic: {}\n\
-             window: {window_note}\n\
              ckpt  : {} points | delta {}B/pt vs whole {}B/pt | steady {:.2}x | reused {}/{} chunks | identical: {}\n\
              fleet : {} cells | retained {:.3} | MTTR {:.1}s | starvation {:.2} | violations {} | jobs-deterministic: {}\n\
              e2e   : {} experiments | serial {:.2}s | --jobs {} (effective {}) {:.2}s | {:.2}x",
@@ -579,8 +341,6 @@ impl BenchReport {
             self.indexed.events_per_sec,
             self.traced.events_per_sec,
             self.micro_speedup(),
-            self.shard_speedup(),
-            self.shard_deterministic,
             self.checkpoint.points,
             self.checkpoint.delta_bytes_per_point,
             self.checkpoint.whole_bytes_per_point,
@@ -680,70 +440,6 @@ fn time_indexed(
         }
     }
     (meter.events(), meter.elapsed_secs())
-}
-
-/// Measures the sharded-driver scaling curve: one fixed Laminar system run
-/// repeated at each shard count, returning the points plus the determinism
-/// verdict (report debug string and JSONL trace byte-identical to the
-/// serial leg at every count). Each point carries the fence-window profile
-/// and, when the counting allocator is registered, the run's allocator
-/// round trips — the guard on the zero-alloc window hot loop: the sharded
-/// driver reuses World-owned scratch (eligibility flags, completion-head
-/// arena, wake arenas) across windows, so its allocation count must stay
-/// within a small factor of the serial driver's instead of growing by
-/// O(allocs × barriers).
-fn time_shard_curve(smoke: bool) -> (Vec<ShardPoint>, bool) {
-    let model = ModelSpec::qwen_7b();
-    let p = placement_for(SystemKind::Laminar, &model, 16);
-    let mut cfg = SystemConfig::new(
-        model,
-        p.train,
-        p.rollout,
-        p.tp,
-        WorkloadGenerator::single_turn(11, Checkpoint::Math7B),
-    );
-    cfg.iterations = if smoke { 2 } else { 3 };
-    cfg.warmup = 0;
-    let mut curve: Vec<ShardPoint> = Vec::new();
-    let mut fingerprint: Option<(String, String)> = None;
-    let mut deterministic = true;
-    for shards in [1usize, 2, 4, 8] {
-        let sys = LaminarSystem {
-            shards,
-            ..LaminarSystem::default()
-        };
-        let mut trace = RecordingTrace::new();
-        let start = std::time::Instant::now();
-        let ((report, stats), alloc_stats) =
-            alloc_count::measure(|| sys.run_traced_stats(&cfg, &mut trace));
-        let secs = start.elapsed().as_secs_f64();
-        let fp = (format!("{report:?}"), trace.to_jsonl());
-        match &fingerprint {
-            None => fingerprint = Some(fp),
-            Some(serial) => deterministic &= *serial == fp,
-        }
-        curve.push(ShardPoint {
-            shards,
-            secs,
-            stats,
-            allocs: alloc_stats.allocs,
-        });
-    }
-    if alloc_count::is_active() {
-        let serial_allocs = curve[0].allocs.max(1);
-        for p in curve.iter().filter(|p| p.shards > 1) {
-            assert!(
-                p.allocs <= serial_allocs.saturating_mul(3) / 2 + 64 * p.shards as u64,
-                "sharded window loop is no longer allocation-free: \
-                 {} allocs at shards={} vs {} serial (a per-window scratch \
-                 allocation regressed — see World::advance_shards)",
-                p.allocs,
-                p.shards,
-                serial_allocs
-            );
-        }
-    }
-    (curve, deterministic)
 }
 
 /// Profiles incremental-checkpoint cost on the recovery scenario: the
@@ -846,11 +542,6 @@ pub fn run_bench(smoke: bool, jobs: usize) -> BenchReport {
     let ((traced_events, traced_secs), traced_stats) =
         alloc_count::measure(|| time_indexed(&specs, repeats, true));
     let alloc_counting_active = alloc_count::is_active();
-    // The shard curve keeps the counter live: its legs run one at a time
-    // (the scoped shard workers are part of the measured run), and the
-    // serial-vs-sharded allocation comparison is the zero-alloc-window
-    // regression guard.
-    let (shard_curve, shard_deterministic) = time_shard_curve(smoke);
     alloc_count::disable();
     let checkpoint = bench_checkpoints();
     let fleet = bench_fleet(jobs);
@@ -883,8 +574,6 @@ pub fn run_bench(smoke: bool, jobs: usize) -> BenchReport {
         naive: MicroLeg::from_run(naive_events, naive_secs, naive_stats),
         indexed: MicroLeg::from_run(indexed_events, indexed_secs, indexed_stats),
         traced: MicroLeg::from_run(traced_events, traced_secs, traced_stats),
-        shard_curve,
-        shard_deterministic,
         checkpoint,
         fleet,
         e2e_experiments: e2e_ids,
@@ -942,27 +631,6 @@ mod tests {
             naive: leg(1000.0, 2.5, 4096),
             indexed: leg(3000.0, 0.125, 1024),
             traced: leg(2500.0, 0.25, 2048),
-            shard_curve: vec![
-                ShardPoint {
-                    shards: 1,
-                    secs: 2.0,
-                    stats: WindowStats::default(),
-                    allocs: 1000,
-                },
-                ShardPoint {
-                    shards: 4,
-                    secs: 1.0,
-                    stats: WindowStats {
-                        barriers: 100,
-                        central_events: 250,
-                        handoff_replays: 40,
-                        batched_windows: 60,
-                        max_batch: 9,
-                    },
-                    allocs: 1100,
-                },
-            ],
-            shard_deterministic: true,
             checkpoint: ckpt(),
             fleet: fleet(),
             e2e_experiments: vec!["fig2".into()],
@@ -971,16 +639,10 @@ mod tests {
             serial_secs: 2.0,
             parallel_secs: 0.5,
         };
-        assert!((r.shard_speedup() - 2.0).abs() < 1e-9);
         assert!(r.checkpoint.delta_ratio() > 5.0);
         let j = r.to_json();
-        assert!(j.contains("\"schema\": 6"));
-        assert!(j.contains("\"barriers_by_shards\": {\"4\": 100}"));
-        assert!(j.contains("\"events_per_window_by_shards\": {\"4\": 2.500}"));
-        assert!(j.contains("\"batched_windows_by_shards\": {\"4\": 60}"));
-        assert!(j.contains("\"max_batch_by_shards\": {\"4\": 9}"));
-        assert!(j.contains("\"handoff_replays_by_shards\": {\"4\": 40}"));
-        assert!(j.contains("\"allocs_by_shards\": {\"4\": 1100}"));
+        assert!(j.contains("\"schema\": 7"));
+        assert!(!j.contains("shard"));
         assert!(j.contains("\"delta_identical\": true"));
         assert!(j.contains("\"goodput_retained\": 0.851"));
         assert!(j.contains("\"fleet_mttr_secs\": 25.0"));
@@ -990,8 +652,6 @@ mod tests {
         assert!(j.contains("\"delta_bytes_per_point\": 24000"));
         assert!(j.contains("\"delta_ratio\": 6.34"));
         assert!(j.contains("\"chunks_reused\": 7388"));
-        assert!(j.contains("\"secs_by_shards\": {\"1\": 2.000, \"4\": 1.000}"));
-        assert!(j.contains("\"deterministic\": true"));
         assert!(j.contains("\"experiment_secs\": {\"fig2\": 2.000}"));
         assert!(j.contains("\"available_parallelism\": 8"));
         assert!(j.contains("\"alloc_counting_active\": true"));
@@ -1014,8 +674,6 @@ mod tests {
             naive: leg(1000.0, 0.0, 0),
             indexed: leg(3000.0, 0.0, 0),
             traced: leg(2500.0, 0.0, 0),
-            shard_curve: Vec::new(),
-            shard_deterministic: true,
             checkpoint: ckpt(),
             fleet: fleet(),
             e2e_experiments: vec!["fig2".into(), "fig9".into()],

@@ -1,13 +1,12 @@
 //! Regenerates the paper's tables and figures.
 //!
 //! ```text
-//! laminar-experiments [--full] [--seed N] [--jobs N] [--shards N] [--chaos-seed N]
+//! laminar-experiments [--full] [--seed N] [--jobs N] [--chaos-seed N]
 //!                     [--recovery-seed N] [--fleet-cells N] [--fleet-seed N]
 //!                     [--checkpoint-every SECS] [--out DIR]
 //!                     [--trace FILE] <id>... | all | list
 //! laminar-experiments --spec FILE... [--full] [--jobs N] [--out DIR]
 //! laminar-experiments --bench [--smoke] [--jobs N] [--bench-out FILE]
-//! laminar-experiments --shard-curve [--smoke] [--bench-out FILE]
 //! laminar-experiments --resume-from FILE
 //! laminar-experiments --list
 //! ```
@@ -24,22 +23,10 @@
 //! order after the parallel runs complete. The default is the machine's
 //! available parallelism; `--jobs 1` forces the serial path.
 //!
-//! `--shards N` (default 1) runs every Laminar system under the
-//! conservative-lookahead sharded driver with N replica-group shards.
-//! Output is byte-identical at every shard count — sharding is purely a
-//! wall-clock lever. The request is clamped so `jobs × shards` never
-//! exceeds the machine's available parallelism.
-//!
 //! `--bench` instead runs the in-tree benchmark harness (engine-hot-path
 //! micro-benchmark plus an end-to-end serial-vs-parallel suite timing) and
 //! writes `BENCH_rollout.json` (override with `--bench-out`). `--smoke`
 //! shrinks it to a few seconds for CI.
-//!
-//! `--shard-curve` runs only the sharded-driver scaling curve (the CI
-//! multi-core datapoint): wall seconds, fence-window stats, and the
-//! byte-identity verdict at shards 1/2/4/8, written as a standalone
-//! schema-6 report to `BENCH_shard_curve.json` (override with
-//! `--bench-out`). Exits nonzero on a false determinism verdict.
 //!
 //! `--checkpoint-every SECS` sets the checkpoint cadence the `recovery`
 //! experiment exercises; its report includes `checkpoint ...` descriptor
@@ -60,19 +47,78 @@
 //! fails. `--full` runs the spec's paper-sized shape instead of its
 //! `[quick]` override. `--list` prints every registered experiment with
 //! its title and spec-overridable knobs.
+//!
+//! Bad input exits with status 2 and one line on stderr: an unknown flag,
+//! a missing or malformed flag value, an unknown experiment id (checked
+//! before any run starts), or a `--spec` file that cannot be read, parsed
+//! or evaluated. A failing regression gate exits with status 1.
 
 use laminar_bench::{
-    all_experiment_ids, benchmarks, default_jobs, effective_jobs, resume_from_descriptor,
-    run_experiment, run_indexed, run_spec, LabSpec, Opts, REGISTRY,
+    all_experiment_ids, benchmarks, default_jobs, effective_jobs, find_experiment,
+    resume_from_descriptor, run_experiment, run_indexed, run_spec, LabSpec, Opts, REGISTRY,
 };
+use std::fmt::Display;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::time::Instant;
 
 /// Counting allocator for `--bench` allocation accounting. Dormant (one
 /// relaxed load per allocation) until the bench harness enables it.
 #[global_allocator]
 static ALLOC: laminar_bench::alloc_count::CountingAlloc = laminar_bench::alloc_count::CountingAlloc;
+
+const USAGE: &str = "usage: laminar-experiments [--full] [--seed N] [--jobs N] [--chaos-seed N] [--recovery-seed N] [--fleet-cells N] [--fleet-seed N] [--checkpoint-every SECS] [--out DIR] [--trace FILE] <id>... | all | list
+       laminar-experiments --spec FILE... [--full] [--jobs N] [--out DIR]
+       laminar-experiments --bench [--smoke] [--jobs N] [--bench-out FILE]
+       laminar-experiments --resume-from FILE
+       laminar-experiments --list";
+
+/// Reports bad command-line input on one stderr line and exits with
+/// status 2.
+fn usage_error(msg: impl Display) -> ! {
+    eprintln!("laminar-experiments: {msg}");
+    std::process::exit(2);
+}
+
+/// Takes the value after `flag` and parses it; a missing value, a value
+/// that does not parse, or one `valid` rejects is a usage error that names
+/// what the flag `requires`.
+fn flag_value<T: FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    requires: &str,
+    valid: impl Fn(&T) -> bool,
+) -> T {
+    let Some(raw) = args.next() else {
+        usage_error(format!("{flag} requires {requires}"));
+    };
+    match raw.parse() {
+        Ok(v) if valid(&v) => v,
+        _ => usage_error(format!("{flag} requires {requires}, got `{raw}`")),
+    }
+}
+
+fn any<T>(_: &T) -> bool {
+    true
+}
+
+fn positive(n: &usize) -> bool {
+    *n >= 1
+}
+
+/// Reads and parses one spec file, applying the `[quick]` override unless
+/// `--full` was given.
+fn load_spec(path: &Path, quick: bool) -> Result<LabSpec, String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("read spec {}: {e}", path.display()))?;
+    let mut spec =
+        LabSpec::parse(&text).map_err(|e| format!("parse spec {}: {e}", path.display()))?;
+    if quick {
+        spec.apply_quick();
+    }
+    Ok(spec)
+}
 
 fn main() {
     let mut opts = Opts {
@@ -81,7 +127,6 @@ fn main() {
     };
     let mut out_dir = PathBuf::from("results");
     let mut bench = false;
-    let mut shard_curve = false;
     let mut smoke = false;
     let mut bench_out: Option<PathBuf> = None;
     let mut resume_from: Option<PathBuf> = None;
@@ -93,80 +138,30 @@ fn main() {
             "--full" => opts.quick = false,
             "--quick" => opts.quick = true,
             "--bench" => bench = true,
-            "--shard-curve" => shard_curve = true,
             "--smoke" => smoke = true,
-            "--seed" => {
-                opts.seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--seed requires an integer");
-            }
-            "--jobs" => {
-                opts.jobs = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .expect("--jobs requires a positive integer");
-            }
-            "--shards" => {
-                opts.shards = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .expect("--shards requires a positive integer");
-            }
-            "--chaos-seed" => {
-                opts.chaos_seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--chaos-seed requires an integer");
-            }
+            "--seed" => opts.seed = flag_value(&mut args, &a, "an integer", any),
+            "--jobs" => opts.jobs = flag_value(&mut args, &a, "a positive integer", positive),
+            "--chaos-seed" => opts.chaos_seed = flag_value(&mut args, &a, "an integer", any),
             "--recovery-seed" => {
-                opts.recovery_seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--recovery-seed requires an integer");
+                opts.recovery_seed = flag_value(&mut args, &a, "an integer", any);
             }
             "--fleet-cells" => {
-                opts.fleet_cells = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .expect("--fleet-cells requires a positive integer");
+                opts.fleet_cells = flag_value(&mut args, &a, "a positive integer", positive);
             }
-            "--fleet-seed" => {
-                opts.fleet_seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--fleet-seed requires an integer");
-            }
+            "--fleet-seed" => opts.fleet_seed = flag_value(&mut args, &a, "an integer", any),
             "--checkpoint-every" => {
-                opts.checkpoint_every = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&s: &f64| s > 0.0)
-                        .expect("--checkpoint-every requires positive virtual seconds"),
-                );
-            }
-            "--resume-from" => {
-                resume_from = Some(PathBuf::from(
-                    args.next().expect("--resume-from requires a file"),
+                opts.checkpoint_every = Some(flag_value(
+                    &mut args,
+                    &a,
+                    "positive virtual seconds",
+                    |&s: &f64| s > 0.0,
                 ));
             }
-            "--out" => {
-                out_dir = PathBuf::from(args.next().expect("--out requires a directory"));
-            }
-            "--bench-out" => {
-                bench_out = Some(PathBuf::from(
-                    args.next().expect("--bench-out requires a file"),
-                ));
-            }
-            "--trace" => {
-                opts.trace = Some(PathBuf::from(args.next().expect("--trace requires a file")));
-            }
-            "--spec" => {
-                specs.push(PathBuf::from(args.next().expect("--spec requires a file")));
-            }
+            "--resume-from" => resume_from = Some(flag_value(&mut args, &a, "a file", any)),
+            "--out" => out_dir = flag_value(&mut args, &a, "a directory", any),
+            "--bench-out" => bench_out = Some(flag_value(&mut args, &a, "a file", any)),
+            "--trace" => opts.trace = Some(flag_value(&mut args, &a, "a file", any)),
+            "--spec" => specs.push(flag_value(&mut args, &a, "a file", any)),
             "--list" | "list" => {
                 // One row per registry entry: id, title, and the spec knobs
                 // (legacy flags) the experiment honours beyond the common set.
@@ -182,24 +177,15 @@ fn main() {
                 return;
             }
             "all" => ids.extend(all_experiment_ids().iter().map(|s| s.to_string())),
-            other if other.starts_with('-') => {
-                eprintln!("unknown flag: {other}");
-                std::process::exit(2);
-            }
+            other if other.starts_with('-') => usage_error(format!("unknown flag: {other}")),
             other => ids.push(other.to_string()),
         }
     }
-    if shard_curve {
-        let report = benchmarks::run_shard_curve(smoke);
-        println!("{}", report.summary());
-        let out = bench_out.unwrap_or_else(|| PathBuf::from("BENCH_shard_curve.json"));
-        report.write(&out).expect("write shard-curve JSON");
-        eprintln!("wrote {}", out.display());
-        if !report.deterministic {
-            eprintln!("shard-curve: FAILURE sharded driver diverged from serial output");
-            std::process::exit(1);
-        }
-        return;
+    if let Some(bad) = ids.iter().find(|id| find_experiment(id).is_none()) {
+        usage_error(format!(
+            "unknown experiment id: {bad} (known: {})",
+            all_experiment_ids().join(" ")
+        ));
     }
     if bench {
         let report = benchmarks::run_bench(smoke, opts.jobs);
@@ -219,19 +205,18 @@ fn main() {
         // Declarative lab path: each spec file runs variants × seeds ×
         // repeats through the planner/executor and is summarised, gated,
         // and persisted on its own. Any failing gate fails the process.
+        // Every spec is read and parsed before the first one runs, so a
+        // bad file fails fast instead of after minutes of trials.
+        let loaded: Vec<LabSpec> = specs
+            .iter()
+            .map(|path| load_spec(path, opts.quick).unwrap_or_else(|e| usage_error(e)))
+            .collect();
         std::fs::create_dir_all(&out_dir).expect("create results directory");
         let mut all_gates_pass = true;
-        for path in &specs {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| panic!("read spec {}: {e}", path.display()));
-            let mut spec = LabSpec::parse(&text)
-                .unwrap_or_else(|e| panic!("parse spec {}: {e}", path.display()));
-            if opts.quick {
-                spec.apply_quick();
-            }
-            let spec_dir = path.parent().unwrap_or_else(|| std::path::Path::new("."));
-            let report = run_spec(&spec, &opts, spec_dir)
-                .unwrap_or_else(|e| panic!("run spec {}: {e}", path.display()));
+        for (path, spec) in specs.iter().zip(&loaded) {
+            let spec_dir = path.parent().unwrap_or_else(|| Path::new("."));
+            let report = run_spec(spec, &opts, spec_dir)
+                .unwrap_or_else(|e| usage_error(format!("run spec {}: {e}", path.display())));
             println!("==== {} ====\n{}", spec.name, report.render());
             let rows_path = out_dir.join(format!("{}.rows.jsonl", spec.name));
             std::fs::write(&rows_path, &report.rows_jsonl).expect("write rows JSONL");
@@ -248,14 +233,7 @@ fn main() {
         return;
     }
     if ids.is_empty() {
-        eprintln!(
-            "usage: laminar-experiments [--full] [--seed N] [--jobs N] [--shards N] [--chaos-seed N] [--recovery-seed N] [--fleet-cells N] [--fleet-seed N] [--checkpoint-every SECS] [--out DIR] [--trace FILE] <id>... | all | list\n\
-             \x20      laminar-experiments --spec FILE... [--full] [--jobs N] [--out DIR]\n\
-             \x20      laminar-experiments --bench [--smoke] [--jobs N] [--bench-out FILE]\n\
-             \x20      laminar-experiments --shard-curve [--smoke] [--bench-out FILE]\n\
-             \x20      laminar-experiments --resume-from FILE\n\
-             \x20      laminar-experiments --list"
-        );
+        eprintln!("{USAGE}");
         eprintln!("experiments: {}", all_experiment_ids().join(" "));
         std::process::exit(2);
     }

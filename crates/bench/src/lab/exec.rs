@@ -204,14 +204,8 @@ fn run_trial(spec: &LabSpec, trial: &Trial, tracing: bool) -> (TrialRow, Option<
         // (violations, redirects, degraded entries, …) come for free even
         // on fault-free variants.
         let note = schedule_note(&faults);
-        // The variant's shard request is honoured verbatim — no
-        // effective-shards clamp: shard-curve specs gate on the *sharded
-        // driver's* determinism, and clamping on a small machine would
-        // silently swap in the serial loop and make the gate vacuous.
-        // (Worker threads beyond the core count just timeshare.)
         let sys = LaminarSystem {
             faults,
-            shards: v.shards,
             ..LaminarSystem::default()
         };
         let run = sys.run_chaos(&cfg);
@@ -261,11 +255,11 @@ fn run_trial(spec: &LabSpec, trial: &Trial, tracing: bool) -> (TrialRow, Option<
     } else {
         let (report, trace) = if tracing {
             let mut rec = RecordingTrace::new();
-            let report = dispatch(v.system, &cfg, 1, &mut rec);
+            let report = dispatch(v.system, &cfg, &mut rec);
             (report, Some(rec))
         } else {
             (
-                dispatch(v.system, &cfg, 1, &mut laminar_runtime::NullTrace),
+                dispatch(v.system, &cfg, &mut laminar_runtime::NullTrace),
                 None,
             )
         };

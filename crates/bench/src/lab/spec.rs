@@ -280,11 +280,6 @@ pub struct VariantSpec {
     pub iterations: usize,
     /// Warmup iterations excluded from measurement.
     pub warmup: usize,
-    /// Replica-group shards for the Laminar driver (`1` = serial wake
-    /// loop, `>1` = conservative-lookahead sharded loop). Output is
-    /// byte-identical at every value, which is exactly what shard-curve
-    /// specs gate on. Laminar-only, like the chaos knobs.
-    pub shards: usize,
     /// Delta-checkpoint cadence in virtual seconds; `0` (the default)
     /// disables checkpoint validation. When positive, every trial
     /// additionally runs `check_resume_equivalence` at this cadence and
@@ -303,8 +298,7 @@ pub struct VariantSpec {
     /// means this is a single-system variant, not a fleet one. A positive
     /// value switches the trial onto the fleet control-plane driver
     /// (`laminar_fleet::run_fleet`) and is incompatible with the
-    /// single-system knobs (`chaos_events`, `shards`,
-    /// `checkpoint_every_secs`).
+    /// single-system knobs (`chaos_events`, `checkpoint_every_secs`).
     pub fleet_cells: usize,
     /// Concurrency capacity per fleet cell.
     pub fleet_cell_capacity: usize,
@@ -564,7 +558,6 @@ fn parse_variant(name: String, sec: &Section) -> Result<VariantSpec, String> {
         gpus: 16,
         iterations: 2,
         warmup: 0,
-        shards: 1,
         checkpoint_every_secs: 0.0,
         chaos_events: 0,
         chaos_earliest_secs: 10.0,
@@ -588,7 +581,6 @@ fn parse_variant(name: String, sec: &Section) -> Result<VariantSpec, String> {
             "gpus" => v.gpus = val.as_usize(k)?,
             "iterations" => v.iterations = val.as_usize(k)?,
             "warmup" => v.warmup = val.as_usize(k)?,
-            "shards" => v.shards = val.as_usize(k)?,
             "checkpoint_every_secs" => v.checkpoint_every_secs = val.as_f64(k)?,
             "chaos_events" => v.chaos_events = val.as_usize(k)?,
             "chaos_earliest_secs" => v.chaos_earliest_secs = val.as_f64(k)?,
@@ -609,9 +601,9 @@ fn parse_variant(name: String, sec: &Section) -> Result<VariantSpec, String> {
             v.name
         ));
     }
-    if v.fleet_cells > 0 && (v.chaos_events > 0 || v.shards > 1 || v.checkpoint_every_secs > 0.0) {
+    if v.fleet_cells > 0 && (v.chaos_events > 0 || v.checkpoint_every_secs > 0.0) {
         return Err(format!(
-            "variant `{}`: fleet_cells is incompatible with chaos_events, shards, \
+            "variant `{}`: fleet_cells is incompatible with chaos_events \
              and checkpoint_every_secs (the fleet driver replaces the single-system run)",
             v.name
         ));
@@ -628,12 +620,6 @@ fn parse_variant(name: String, sec: &Section) -> Result<VariantSpec, String> {
             v.name
         ));
     }
-    if v.shards > 1 && v.system != SystemKind::Laminar {
-        return Err(format!(
-            "variant `{}`: shards > 1 requires system = \"laminar\" (the baselines are serial-only)",
-            v.name
-        ));
-    }
     if v.checkpoint_every_secs < 0.0 {
         return Err(format!(
             "variant `{}`: checkpoint_every_secs must be non-negative",
@@ -646,9 +632,9 @@ fn parse_variant(name: String, sec: &Section) -> Result<VariantSpec, String> {
             v.name
         ));
     }
-    if v.gpus == 0 || v.iterations == 0 || v.shards == 0 {
+    if v.gpus == 0 || v.iterations == 0 {
         return Err(format!(
-            "variant `{}`: gpus, iterations, and shards must be positive",
+            "variant `{}`: gpus and iterations must be positive",
             v.name
         ));
     }
@@ -803,19 +789,6 @@ gpus = 16
     }
 
     #[test]
-    fn shards_knob_parses_and_is_laminar_only() {
-        let s = LabSpec::parse(
-            "name = \"x\"\nseeds = [1]\n[variant.a]\nsystem = \"laminar\"\nshards = 4",
-        )
-        .expect("parse");
-        assert_eq!(s.variants[0].shards, 4);
-        let err =
-            LabSpec::parse("name = \"x\"\nseeds = [1]\n[variant.a]\nsystem = \"verl\"\nshards = 2")
-                .unwrap_err();
-        assert!(err.contains("serial-only"), "{err}");
-    }
-
-    #[test]
     fn checkpoint_knob_parses_and_is_laminar_only() {
         let s = LabSpec::parse(
             "name = \"x\"\nseeds = [1]\n[variant.a]\nsystem = \"laminar\"\ncheckpoint_every_secs = 5.0",
@@ -852,9 +825,10 @@ gpus = 16
         )
         .unwrap_err();
         assert!(err.contains("incompatible"), "{err}");
-        let err =
-            LabSpec::parse("name = \"x\"\nseeds = [1]\n[variant.a]\nfleet_cells = 4\nshards = 2")
-                .unwrap_err();
+        let err = LabSpec::parse(
+            "name = \"x\"\nseeds = [1]\n[variant.a]\nfleet_cells = 4\ncheckpoint_every_secs = 5.0",
+        )
+        .unwrap_err();
         assert!(err.contains("incompatible"), "{err}");
     }
 

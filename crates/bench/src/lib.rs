@@ -23,4 +23,4 @@ pub use experiments::{
     all_experiment_ids, find_experiment, run_experiment, ExperimentDef, Opts, REGISTRY,
 };
 pub use lab::{run_spec, LabReport, LabSpec};
-pub use runner::{default_jobs, effective_jobs, effective_shards, run_indexed};
+pub use runner::{default_jobs, effective_jobs, run_indexed};

@@ -1,0 +1,58 @@
+//! Bad command-line input must exit with status 2 and one stderr line,
+//! never a panic (status 101). Each case runs the built
+//! `laminar-experiments` binary and checks that no report was written.
+
+use std::path::PathBuf;
+use std::process::Command;
+
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("laminar-cli-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+fn assert_usage_error(args: &[&str], out: &std::path::Path) {
+    let run = Command::new(env!("CARGO_BIN_EXE_laminar-experiments"))
+        .arg("--out")
+        .arg(out)
+        .args(args)
+        .output()
+        .expect("spawn laminar-experiments");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(2), "{args:?}: stderr was {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: stderr was {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    let written = std::fs::read_dir(out).map_or(0, |d| d.count());
+    assert_eq!(written, 0, "{args:?}: a run started before the error");
+}
+
+#[test]
+fn bad_flag_values_exit_2() {
+    let out = scratch_dir("flags");
+    assert_usage_error(&["--jobs", "abc", "fig9"], &out);
+    assert_usage_error(&["--jobs", "0", "fig9"], &out);
+    assert_usage_error(&["--checkpoint-every", "-1", "recovery"], &out);
+    assert_usage_error(&["fig9", "--seed"], &out);
+    assert_usage_error(&["--shards", "2", "fig9"], &out);
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+#[test]
+fn unknown_experiment_id_exits_2_before_any_run() {
+    let out = scratch_dir("ids");
+    assert_usage_error(&["fig9", "no-such-figure"], &out);
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+#[test]
+fn unreadable_or_malformed_spec_exits_2() {
+    let out = scratch_dir("spec");
+    let spec = out.join("bad.toml");
+    std::fs::write(&spec, "name = \"x\"\n[variant.a\nsystem = \"laminar\"\n").expect("write spec");
+    let out_dir = out.join("out");
+    assert_usage_error(&["--spec", spec.to_str().expect("utf-8 path")], &out_dir);
+    let missing = out.join("missing.toml");
+    assert_usage_error(&["--spec", missing.to_str().expect("utf-8 path")], &out_dir);
+    let _ = std::fs::remove_dir_all(&out);
+}

@@ -37,5 +37,4 @@ pub use laminar_runtime::{RlSystem, RunReport, SystemConfig};
 pub use placement::{paper_configs, placement_for, Placement, ScalePoint};
 pub use system::{
     ChaosRun, ElasticSpec, IdlenessMetric, LaminarSnapshot, LaminarSystem, RecoveryOptions,
-    WindowStats,
 };

@@ -60,28 +60,10 @@ impl World {
         }
     }
 
-    pub(super) fn drain(&mut self, r: usize, now: Time, sched: &mut Scheduler<Ev>) {
+    /// Delivers replica `r`'s buffered completions into the buffer and the
+    /// bookkeeping planes, then nudges the trainer.
+    fn drain(&mut self, r: usize, now: Time, sched: &mut Scheduler<Ev>) {
         let done = self.engines[r].take_completions();
-        self.process_completions(r, done, now, sched);
-    }
-
-    /// Delivers a batch of completions from replica `r` into the buffer and
-    /// the bookkeeping planes, then nudges the trainer.
-    ///
-    /// Shared by the serial wake chain (which drains at every engine event)
-    /// and the sharded lookahead driver (which replays completion groups at
-    /// their own instants in global `(time, replica)` order). `now` is the
-    /// hand-off instant; the trainer check is scheduled *at* it rather than
-    /// "immediately" because the sharded driver's central clock may lag the
-    /// shards' local clocks — `Scheduler::at` degenerates to `immediately`
-    /// on the serial path where the two coincide.
-    pub(super) fn process_completions(
-        &mut self,
-        r: usize,
-        done: Vec<CompletedTraj>,
-        now: Time,
-        sched: &mut Scheduler<Ev>,
-    ) {
         if done.is_empty() {
             return;
         }
@@ -108,22 +90,11 @@ impl World {
             }
             self.buffer.write(to_experience(c));
         }
-        sched.at(now, Ev::TrainerCheck);
+        sched.immediately(Ev::TrainerCheck);
     }
 
     pub(super) fn wake(&mut self, r: usize, sched: &mut Scheduler<Ev>) {
         if !self.alive[r] || self.pulling[r] {
-            return;
-        }
-        // The sharded driver owns event delivery: instead of queueing a
-        // per-event `ReplicaWake` it records the same prediction in the
-        // replica's wake queue, and the shard workers replay the wake
-        // chains (fire at each prediction in scheduler order, settle,
-        // re-predict) between fences.
-        if self.sharded {
-            if let Some(t) = self.engines[r].next_event_time() {
-                self.armed[r].push(t, self.engines[r].epoch());
-            }
             return;
         }
         if let Some(t) = self.engines[r].next_event_time() {
@@ -139,7 +110,7 @@ impl World {
 
     /// Replica finished its batch (or was released by a repack): pull the
     /// newest relayed weights if newer, then start the next batch.
-    pub(super) fn refresh_and_restart(&mut self, r: usize, now: Time, sched: &mut Scheduler<Ev>) {
+    fn refresh_and_restart(&mut self, r: usize, now: Time, sched: &mut Scheduler<Ev>) {
         if !self.alive[r] {
             return;
         }
@@ -301,12 +272,6 @@ impl SimWorld for World {
                 self.pulling[r] = false;
                 self.engines[r].set_weight_version(version, now);
                 self.audit.record_version(r, version);
-                if self.sharded {
-                    // The replica re-enters the hand-off min: completions it
-                    // held through the pull (a repack release can park some)
-                    // become observable again.
-                    self.repush_head(r);
-                }
                 self.start_batch(r, now, sched);
                 self.wake(r, sched);
             }

@@ -20,7 +20,6 @@ impl World {
             ));
             self.alive.push(true);
             self.pulling.push(false);
-            self.armed.push(laminar_rollout::shard::WakeQueue::new());
             self.breakers
                 .push(CircuitBreaker::new(self.opts.recovery.breaker));
             self.manager.register(r, now);

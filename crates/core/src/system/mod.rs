@@ -9,13 +9,18 @@
 //! * [`faults`] — machine-kill / recovery and trainer-failure handling
 //!   (Figure 15, §3.3);
 //! * [`elastic`] — mid-run rollout scale-out (§3.3);
+//! * [`recover`] — graceful degradation, checkpoint/restore, and the
+//!   canonical state image behind delta checkpoints;
 //! * [`timeline`] — throughput-timeline sampling and event-trace emission.
+//!
+//! One serial event loop drives every run: each replica engine's next
+//! predicted transition is queued as a `ReplicaWake` beside the central
+//! events, and the queue delivers everything in `(time, seq)` order.
 
 mod driver;
 mod elastic;
 mod faults;
 mod recover;
-mod sharded;
 #[cfg(test)]
 mod tests;
 mod timeline;
@@ -26,7 +31,6 @@ use crate::chaos::{ChaosAudit, ChaosOutcome, FaultEvent};
 use laminar_data::{Eviction, ExperienceBuffer, PartialResponsePool, Sampler};
 use laminar_relay::RelaySyncModel;
 use laminar_rollout::manager::{ManagerConfig, RolloutManager};
-use laminar_rollout::shard::WakeQueue;
 use laminar_rollout::{EngineConfig, ReplicaEngine};
 use laminar_runtime::{
     BreakerConfig, CircuitBreaker, RecordingTrace, RetryPolicy, RlSystem, RunReport, SystemConfig,
@@ -128,18 +132,6 @@ pub struct LaminarSystem {
     /// older than this many versions (relaxed by
     /// [`RecoveryOptions::staleness_relax`] while degraded).
     pub staleness_cap: Option<u64>,
-    /// Replica-group shards for parallel discrete-event execution
-    /// (DESIGN.md §11). At 1 (the default) the run uses the serial
-    /// wake-per-event loop; above 1 the [`sharded`] conservative-lookahead
-    /// driver advances replica engines on up to this many threads between
-    /// global interaction fences. Output is byte-identical either way.
-    pub shards: usize,
-    /// Sharded runs only: batch consecutive commuting central events into
-    /// one fence window (DESIGN.md §11). When false the driver falls back
-    /// to one central event per fence — the PR-7 loop, kept as the
-    /// equivalence oracle for the batching planner. Output is byte-identical
-    /// either way; the knob only moves the barrier count.
-    pub fence_batch: bool,
 }
 
 impl Default for LaminarSystem {
@@ -155,36 +147,7 @@ impl Default for LaminarSystem {
             sample_every: Duration::from_secs(10),
             recovery: RecoveryOptions::default(),
             staleness_cap: None,
-            shards: 1,
-            fence_batch: true,
         }
-    }
-}
-
-/// Fence-window statistics from the sharded conservative-lookahead driver
-/// (all zeros for serial runs): how many barriers the run crossed, how many
-/// central events each window absorbed, and how often windows batched more
-/// than one event. The schema-6 bench `shard_curve` block reports these so
-/// the widened parallel window is measurable, not asserted.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct WindowStats {
-    /// Fence windows opened — one `advance_shards` barrier each.
-    pub barriers: u64,
-    /// Central-queue events delivered by the sharded loop.
-    pub central_events: u64,
-    /// Completion-group hand-off instants replayed inside windows.
-    pub handoff_replays: u64,
-    /// Windows that delivered more than one central event at one barrier.
-    pub batched_windows: u64,
-    /// Largest central-event batch one window absorbed.
-    pub max_batch: u64,
-}
-
-impl WindowStats {
-    /// Mean central events per fence window (the headline batching win;
-    /// 1.0 is the PR-7 one-event-per-fence floor).
-    pub fn events_per_window(&self) -> f64 {
-        self.central_events as f64 / self.barriers.max(1) as f64
     }
 }
 
@@ -306,40 +269,6 @@ struct World {
     /// When the current degraded episode began (start of the `Recovered`
     /// span emitted on exit).
     degraded_entered: Time,
-    /// True when the run is driven by the conservative-lookahead sharded
-    /// loop ([`sharded`]): per-event `ReplicaWake`s are suppressed — engine
-    /// events are advanced between fences by the shard workers instead.
-    sharded: bool,
-    /// Sharded runs only: the pending `ReplicaWake` multiset per replica —
-    /// exactly what the serial driver would have queued centrally. The
-    /// shard workers replay each replica's wake chains (fire at each
-    /// prediction in scheduler order, settle, re-predict) up to the fence,
-    /// which keeps the forced rate-re-evaluation horizon — re-based at
-    /// every wake settlement, even a stale one — byte-identical to serial
-    /// execution. A replica may carry several live chains at once (the
-    /// fault plane re-wakes survivors without invalidating their existing
-    /// chains), so a queue, not a single slot, is required.
-    armed: Vec<WakeQueue>,
-    /// Sharded scratch (not part of the logical run state; deliberately
-    /// excluded from the checkpoint encoding, which drives runs serially):
-    /// cached earliest-completion instant per replica, refreshed by the
-    /// shard workers at each barrier and patched at the few central paths
-    /// that move completions. Backs the incremental hand-off min.
-    completion_heads: Vec<Option<Time>>,
-    /// Lazy min-heap over `(head, replica)` candidates; stale entries
-    /// (cache disagrees) and ineligible replicas are discarded on pop, so
-    /// `next_handoff` is O(log n) amortized instead of an O(replicas) scan
-    /// per micro-step.
-    handoff_heap: std::collections::BinaryHeap<std::cmp::Reverse<(Time, usize)>>,
-    /// Reusable per-window eligibility buffer (PR 5's zero-alloc standard:
-    /// the hot loop must not touch the allocator once buffers are grown).
-    eligible_scratch: Vec<bool>,
-    /// Reusable per-window completion-head arena the shard workers fill.
-    heads_scratch: Vec<Option<Time>>,
-    /// Fence-window counters the sharded driver accumulates (zeros for
-    /// serial runs). Not part of `RunReport`, so the byte-identity oracle
-    /// is unaffected by batching differences.
-    window_stats: WindowStats,
 }
 
 impl World {
@@ -482,29 +411,9 @@ impl LaminarSystem {
         }
     }
 
-    /// Runs like [`RlSystem::run_traced`] and additionally returns the
-    /// sharded driver's fence-window statistics — all zeros for serial
-    /// runs. The stats live outside [`RunReport`] so the report+trace
-    /// byte-identity oracle stays blind to how events were batched.
-    pub fn run_traced_stats(
-        &self,
-        cfg: &SystemConfig,
-        trace: &mut dyn TraceSink,
-    ) -> (RunReport, WindowStats) {
-        let mut world = self.execute(cfg, trace.enabled());
-        world.drain_spans(trace);
-        let stats = world.window_stats;
-        (world.finish_report(), stats)
-    }
-
     /// Builds the world, runs the event loop to completion, and returns the
-    /// final world state (spans still buffered inside). Above one shard the
-    /// conservative-lookahead driver takes over ([`sharded`]); output is
-    /// byte-identical either way.
+    /// final world state (spans still buffered inside).
     fn execute(&self, cfg: &SystemConfig, record_trace: bool) -> World {
-        if self.shards > 1 {
-            return self.execute_sharded(cfg, record_trace);
-        }
         let mut sim = self.build(cfg, record_trace);
         let finished = sim.run_while(|w| !w.done(), 2_000_000_000);
         assert!(finished, "laminar run did not complete its iterations");
@@ -580,13 +489,6 @@ impl LaminarSystem {
             degraded: false,
             capacity_low_since: None,
             degraded_entered: Time::ZERO,
-            sharded: self.shards > 1,
-            armed: vec![WakeQueue::new(); replicas],
-            completion_heads: vec![None; replicas],
-            handoff_heap: std::collections::BinaryHeap::new(),
-            eligible_scratch: Vec::with_capacity(replicas),
-            heads_scratch: vec![None; replicas],
-            window_stats: WindowStats::default(),
         };
         world.engines = (0..replicas)
             .map(|i| ReplicaEngine::new(i, cfg.decode_model(), world.engine_cfg()))
@@ -597,8 +499,6 @@ impl LaminarSystem {
         let mut sim = Simulation::new(world);
         for r in 0..replicas {
             sim.world.start_batch(r, Time::ZERO, &mut sim.scheduler);
-            // Serial runs get a queued `ReplicaWake`; sharded runs arm the
-            // per-replica prediction the lookahead loop replays instead.
             sim.world.wake(r, &mut sim.scheduler);
         }
         sim.scheduler

@@ -126,28 +126,6 @@ impl LaminarSnapshot {
     }
 }
 
-impl LaminarSystem {
-    /// The serial twin a checkpointed run executes: snapshots freeze the
-    /// run between queue events, a boundary the sharded driver's
-    /// out-of-queue fence loop doesn't expose. The two drivers produce
-    /// byte-identical output, so resume equivalence is unaffected — but the
-    /// override is no longer silent: a run explicitly configured with
-    /// `shards > 1` gets a notice that checkpointing drove it serially.
-    fn checkpoint_serial(&self) -> LaminarSystem {
-        if self.shards > 1 {
-            eprintln!(
-                "laminar: checkpointed run drives the serial wake loop \
-                 (shards={} requested; output is byte-identical either way)",
-                self.shards
-            );
-        }
-        LaminarSystem {
-            shards: 1,
-            ..self.clone()
-        }
-    }
-}
-
 impl Recoverable for LaminarSystem {
     type Snapshot = LaminarSnapshot;
 
@@ -161,8 +139,7 @@ impl Recoverable for LaminarSystem {
             every > Duration::ZERO,
             "checkpoint cadence must be positive"
         );
-        let serial = self.checkpoint_serial();
-        let mut sim = serial.build(cfg, trace.enabled());
+        let mut sim = self.build(cfg, trace.enabled());
         let mut snapshots = Vec::new();
         let mut deadline = Time::ZERO + every;
         loop {
@@ -206,8 +183,7 @@ impl Recoverable for LaminarSystem {
             every > Duration::ZERO,
             "checkpoint cadence must be positive"
         );
-        let serial = self.checkpoint_serial();
-        let mut sim = serial.build(cfg, trace.enabled());
+        let mut sim = self.build(cfg, trace.enabled());
         let mut enc = DeltaEncoder::default();
         let mut checkpoints: Vec<DeltaCheckpoint<LaminarSnapshot>> = Vec::new();
         let mut deadline = Time::ZERO + every;
@@ -350,8 +326,7 @@ fn driver_plane(sim: &Simulation<World>) -> StatePlane {
         .t(w.trainer_free_at)
         .b(w.degraded)
         .ot(w.capacity_low_since)
-        .t(w.degraded_entered)
-        .b(w.sharded);
+        .t(w.degraded_entered);
     for word in w.rng.state_words() {
         e.u(word);
     }
@@ -361,10 +336,6 @@ fn driver_plane(sim: &Simulation<World>) -> StatePlane {
     }
     for &p in &w.pulling {
         e.b(p);
-    }
-    e.z(w.armed.len());
-    for q in &w.armed {
-        e.b(q.is_empty());
     }
     let mut words = e.take();
     for b in &w.breakers {

@@ -10,20 +10,15 @@
 //! * [`ExperienceBuffer`] holds completed trajectories, with pluggable
 //!   [`Sampler`] strategies for the trainer and [`Eviction`] strategies for
 //!   capacity management — the writer/sampler API of §3.1.
-//!
-//! [`shared`] wraps each component for the multi-threaded runtime used in
-//! the fault-tolerance tests.
 
 pub mod buffer;
 pub mod checkpoint;
 pub mod experience;
 pub mod partial;
 pub mod prompt_pool;
-pub mod shared;
 
 pub use buffer::{BufferStats, Eviction, ExperienceBuffer, Sampler};
 pub use checkpoint::{Checkpoint, CheckpointStore};
 pub use experience::Experience;
 pub use partial::{PartialResponse, PartialResponsePool};
 pub use prompt_pool::PromptPool;
-pub use shared::SharedExperienceBuffer;

@@ -46,72 +46,8 @@ impl ReplicaEngine {
         self.apply_progress(now);
     }
 
-    /// Replays the serial per-event wake chains up to `fence`: fires each
-    /// pending wake in scheduler order, settles at its instant via
-    /// [`ReplicaEngine::advance_to`], then re-predicts — exactly the
-    /// sequence a driver scheduling one wake per `next_event_time` would
-    /// produce. The settlement matters even when the predicted event moved
-    /// (an external settlement postponed the forced rate re-evaluation):
-    /// each wake re-bases the recalc horizon off its own instant, so a
-    /// lookahead driver that replays the chains — rather than the bare
-    /// event list — stays byte-identical to serial execution.
-    ///
-    /// A wake scheduled under an epoch the engine has since left is
-    /// consumed without firing and without re-predicting, mirroring the
-    /// serial driver's staleness guard. Wakes scheduled under a *later*
-    /// epoch than the engine currently holds (a replica replaced after a
-    /// fault resets its epoch) do fire — again matching the serial guard,
-    /// which only skips strictly-older epochs.
-    ///
-    /// `pending` is left holding the predictions past the fence (empty once
-    /// the engine runs out of events, i.e. goes idle — the caller owns the
-    /// restart decision at the final completion's instant).
-    pub fn advance_wake_queue(&mut self, pending: &mut crate::shard::WakeQueue, fence: Time) {
-        let mut guard = 0u64;
-        while let Some((p, epoch)) = pending.pop_through(fence) {
-            if epoch < self.epoch() {
-                continue;
-            }
-            guard += 1;
-            assert!(guard < 50_000_000, "replica wake storm — model bug");
-            self.advance_to(p);
-            if let Some(t) = self.next_event_time() {
-                pending.push(t, self.epoch());
-            }
-        }
-    }
-
-    /// Applies internal transitions with time ≤ `fence` — the shard
-    /// lookahead primitive — **without** moving the clock past the last
-    /// processed event. Unlike [`ReplicaEngine::advance_to`], the engine is
-    /// left exactly where the serial wake chain would leave it: at its most
-    /// recent internal event, so the forced rate-re-evaluation horizon
-    /// (which is keyed off `last_update`) fires at identical instants in
-    /// sharded and serial execution.
-    ///
-    /// Returns `true` when the engine ran out of events entirely and is now
-    /// idle (nothing resident, nothing waiting) — the caller owns the
-    /// restart decision at the final completion's instant.
-    pub fn advance_events_until(&mut self, fence: Time) -> bool {
-        let mut guard = 0u64;
-        loop {
-            self.prune_event_tops();
-            let Some((t, kind)) = self.peek_internal() else {
-                break;
-            };
-            if t > fence {
-                return false;
-            }
-            guard += 1;
-            assert!(guard < 50_000_000, "replica engine event storm — model bug");
-            self.apply_internal(t, kind);
-        }
-        self.is_idle()
-    }
-
     /// One internal transition: progress settlement, the event itself, then
-    /// admission / rate / recording follow-ups. Shared by the serial
-    /// [`ReplicaEngine::advance_to`] chain and the bounded shard stepper.
+    /// admission / rate / recording follow-ups.
     fn apply_internal(&mut self, t: Time, kind: Internal) {
         self.events_processed += 1;
         self.apply_progress(t);

@@ -16,12 +16,10 @@
 pub mod engine;
 pub mod manager;
 pub mod repack;
-pub mod shard;
 pub mod traj;
 
 pub use engine::reference::NaiveReplicaEngine;
 pub use engine::{CompletedTraj, EngineConfig, ReplicaEngine};
 pub use manager::{ManagerConfig, ReplicaHealth, RolloutManager};
 pub use repack::{plan_repack, RepackPlan, ReplicaLoad};
-pub use shard::{parallel_advance, parallel_advance_chains, ShardMessage, ShardedReplicaSet};
 pub use traj::{Phase, PolicyVersions, TrajState};

@@ -125,13 +125,6 @@ impl<E> Scheduler<E> {
         self.queue.peek().map(|s| s.at)
     }
 
-    /// The next pending event as `(at, seq, &ev)` without delivering it —
-    /// what a driver that must *classify* the next event before deciding
-    /// whether to deliver it needs (the sharded fence-window micro-loop).
-    pub fn peek(&self) -> Option<(Time, u64, &E)> {
-        self.queue.peek().map(|s| (s.at, s.seq, &s.ev))
-    }
-
     /// Every pending event as `(at, seq, &ev)` in canonical `(at, seq)`
     /// order. `(at, seq)` is a total order over scheduled events, so this
     /// sorted view determines the exact pop sequence regardless of the
@@ -143,18 +136,6 @@ impl<E> Scheduler<E> {
             self.queue.iter().map(|s| (s.at, s.seq, &s.ev)).collect();
         out.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
         out
-    }
-
-    /// Visits every pending event as `(at, seq, &ev)` in *heap* (arbitrary)
-    /// order, without allocating. Callers that need the canonical pop order
-    /// collect into a reusable buffer and sort by `(at, seq)` themselves —
-    /// the allocation-free complement of [`Scheduler::pending_entries`] for
-    /// hot loops (the sharded driver's window planner scans the queue every
-    /// fence window).
-    pub fn scan_pending<F: FnMut(Time, u64, &E)>(&self, mut f: F) {
-        for s in self.queue.iter() {
-            f(s.at, s.seq, &s.ev);
-        }
     }
 
     fn pop(&mut self) -> Option<(Time, E)> {

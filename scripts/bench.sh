@@ -42,15 +42,14 @@ if [ -f "$OUT" ]; then
     cp "$OUT" "$PREV"
 fi
 
-# NB: a bare `cargo build --release` at the workspace root does NOT rebuild
-# the laminar-bench binary; the -p flag is load-bearing.
+# Only the experiment binary is needed here, so build just its package.
 cargo build --release -p laminar-bench
 
 BENCH_CMD=(./target/release/laminar-experiments --bench $SMOKE --bench-out "$OUT")
 if [ -n "$PROFILE" ]; then
     if command -v perf >/dev/null 2>&1; then
-        # Call-graph sampling of the whole bench run (micro legs, shard
-        # curve, e2e suite). dwarf unwinding keeps the inlined hot loop
+        # Call-graph sampling of the whole bench run (micro legs,
+        # checkpoint and fleet profiles, e2e suite). dwarf unwinding keeps the inlined hot loop
         # attributable; fall back to frame pointers if dwarf is rejected.
         perf record -o perf.data --call-graph dwarf -- "${BENCH_CMD[@]}" \
             || perf record -o perf.data -g -- "${BENCH_CMD[@]}"
@@ -75,20 +74,11 @@ else
     "${BENCH_CMD[@]}"
 fi
 
-# The shard curve (schema 3) carries a determinism verdict: every shard
-# count must have reproduced the serial run byte-for-byte. Unlike
-# wall-clock numbers this can never be machine noise, so it fails even
-# under --warn-only.
-if grep -q '"deterministic": false' "$OUT"; then
-    echo "bench: FAILURE sharded driver diverged from serial output (shard_curve.deterministic = false)" >&2
-    exit 1
-fi
-
 # The checkpoint block (schema 4) carries the delta-equivalence verdict:
 # the delta-checkpointed run, every manifest-chain + fingerprint
 # verification, and every resume must have matched the uninterrupted run
-# byte-for-byte. Deterministic, so it likewise fails even under
-# --warn-only.
+# byte-for-byte. Unlike wall-clock numbers this can never be machine
+# noise, so it fails even under --warn-only.
 if grep -q '"delta_identical": false' "$OUT"; then
     echo "bench: FAILURE delta checkpoints diverged from whole-state run (checkpoint.delta_identical = false)" >&2
     exit 1
@@ -137,28 +127,6 @@ if [ -n "$PREV" ]; then
             fi
         fi
     done
-    # Fence-window regression (schema 6): barriers per run at each shard
-    # count may not grow more than 20% versus the previous run. Barrier
-    # counts are deterministic — growth means the fence-batching planner
-    # lost window width (windows shrank, more synchronization per run).
-    # Silently skipped when the previous report predates schema 6.
-    old_line=$(sed -n 's/.*"barriers_by_shards": {\([^}]*\)}.*/\1/p' "$PREV")
-    new_line=$(sed -n 's/.*"barriers_by_shards": {\([^}]*\)}.*/\1/p' "$OUT")
-    if [ -n "$old_line" ] && [ -n "$new_line" ]; then
-        for shards in 2 4 8; do
-            old=$(echo "$old_line" | tr ',' '\n' | sed -n "s/.*\"$shards\": *\([0-9]*\).*/\1/p")
-            new=$(echo "$new_line" | tr ',' '\n' | sed -n "s/.*\"$shards\": *\([0-9]*\).*/\1/p")
-            if [ -n "$old" ] && [ -n "$new" ]; then
-                grew=$(awk -v o="$old" -v n="$new" 'BEGIN { print (o > 0 && n > 1.2 * o) ? 1 : 0 }')
-                if [ "$grew" = "1" ]; then
-                    echo "bench: REGRESSION barriers per run at shards=$shards grew: $old -> $new (>20%)" >&2
-                    REGRESSED=1
-                else
-                    echo "bench: shards=$shards barriers $old -> $new (ok)"
-                fi
-            fi
-        done
-    fi
     # Checkpoint-cost regression: delta bytes persisted per cadence point
     # may not grow more than 20% versus the previous run. The encoder is
     # deterministic, so growth is a real state-image layout change —

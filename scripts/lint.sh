@@ -19,7 +19,7 @@ echo "lint: clean"
 # (failing) comparison is a deliberate `scripts/bench.sh` run.
 scripts/bench.sh --smoke --warn-only
 
-# Lab smoke: the committed two-variant × two-seed spec end to end through
+# Lab smoke: the committed four-variant × two-seed spec end to end through
 # the planner/executor. Its regression gates compare against
 # specs/smoke.baseline.jsonl; the simulation is deterministic, so this one
 # DOES fail lint on any gate breach.
