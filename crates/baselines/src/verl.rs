@@ -11,7 +11,6 @@ use crate::common::{
     SystemConfig, TraceSink, TraceSpan,
 };
 use laminar_cluster::TrainModel;
-use laminar_rollout::{EngineConfig, ReplicaEngine};
 use laminar_runtime::delta::{
     encode_report_plane, encode_span_plane, StateImage, StatePlane, WordEnc,
 };
@@ -293,14 +292,6 @@ pub fn sync_breakdown(cfg: &SystemConfig) -> (f64, f64, f64) {
     let total_train = train.iteration_secs(gen.total_tokens, cfg.minibatches);
     let prep = total_train * train.experience_prep_frac;
     (gen_secs, total_train - prep, prep)
-}
-
-/// Verl's generation engines are also used standalone for the Figure 9
-/// lifecycle experiment; re-export a helper building one recording replica.
-pub fn recording_replica(cfg: &SystemConfig) -> ReplicaEngine {
-    let mut ecfg: EngineConfig = cfg.engine_config();
-    ecfg.record_kv_series = true;
-    ReplicaEngine::new(0, cfg.decode_model(), ecfg)
 }
 
 #[cfg(test)]

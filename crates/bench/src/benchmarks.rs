@@ -26,7 +26,7 @@
 //!   speedup is exactly 1.0 instead of thread-pool noise. The recorded
 //!   `available_parallelism` and `effective_jobs` label such rows.
 //!
-//! - **checkpoint**: the incremental-checkpoint cost profile. The
+//! - **checkpoint**: the delta-checkpoint cost profile. The
 //!   recovery-scenario Laminar run (faults on, trace recording on) runs
 //!   through `check_resume_equivalence` at a fixed 20 s cadence: every
 //!   cadence point commits a delta checkpoint into the content-addressed
@@ -119,7 +119,7 @@ pub struct CheckpointBench {
 
 impl CheckpointBench {
     /// Steady-state whole-over-delta byte ratio: how many times cheaper
-    /// the incremental checkpoint is once the run is warm.
+    /// the delta checkpoint is once the run is warm.
     pub fn delta_ratio(&self) -> f64 {
         if self.steady_delta_bytes == 0 {
             return 1.0;
@@ -175,7 +175,7 @@ pub struct BenchReport {
     pub indexed: MicroLeg,
     /// Slab-indexed engine with span tracing + JSONL serialization.
     pub traced: MicroLeg,
-    /// Incremental-checkpoint cost profile of the recovery scenario.
+    /// Delta-checkpoint cost profile of the recovery scenario.
     pub checkpoint: CheckpointBench,
     /// Fleet control-plane profile (acceptance scenario + jobs-invariance
     /// verdict of the fleet-chaos sweep).
@@ -442,7 +442,7 @@ fn time_indexed(
     (meter.events(), meter.elapsed_secs())
 }
 
-/// Profiles incremental-checkpoint cost on the recovery scenario: the
+/// Profiles delta-checkpoint cost on the recovery scenario: the
 /// chaos-laden Laminar replay config (trace recording on) run through
 /// `check_resume_equivalence` at a 20 s cadence. Ten iterations put the
 /// run well past warm-up, where accumulated state (spans, buffer,
@@ -456,6 +456,7 @@ fn bench_checkpoints() -> CheckpointBench {
         &LaminarSystem::default(),
         &cfg,
         laminar_sim::Duration::from_secs(20),
+        laminar_runtime::ResumeFrom::Every,
     );
     let c = &eq.cost;
     let points = c.points.max(1) as u64;

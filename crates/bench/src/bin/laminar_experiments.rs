@@ -50,8 +50,9 @@
 //!
 //! Bad input exits with status 2 and one line on stderr: an unknown flag,
 //! a missing or malformed flag value, an unknown experiment id (checked
-//! before any run starts), or a `--spec` file that cannot be read, parsed
-//! or evaluated. A failing regression gate exits with status 1.
+//! before any run starts), a `--spec` file that cannot be read, parsed
+//! or evaluated, or a `--resume-from` file that holds no replayable
+//! checkpoint descriptor. A failing regression gate exits with status 1.
 
 use laminar_bench::{
     all_experiment_ids, benchmarks, default_jobs, effective_jobs, find_experiment,
@@ -198,7 +199,10 @@ fn main() {
     if let Some(path) = resume_from {
         // Deterministic checkpoint replay: rebuild the run described by the
         // descriptor, verify the snapshot fingerprint, resume to completion.
-        println!("{}", resume_from_descriptor(&path, &opts));
+        match resume_from_descriptor(&path, &opts) {
+            Ok(report) => println!("{report}"),
+            Err(e) => usage_error(format!("--resume-from: {e}")),
+        }
         return;
     }
     if !specs.is_empty() {

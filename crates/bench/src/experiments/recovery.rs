@@ -26,7 +26,7 @@ use crate::lab::{self, LabSpec, Summary};
 use laminar_baselines::{OneStepStaleness, PartialRollout, StreamGeneration, VerlSync};
 use laminar_cluster::ModelSpec;
 use laminar_core::{FaultEvent, FaultKind, LaminarSystem, SystemKind};
-use laminar_runtime::recovery::{check_resume_equivalence, Recoverable};
+use laminar_runtime::recovery::{check_resume_equivalence, Recoverable, ResumeFrom};
 use laminar_runtime::{NullTrace, RecordingTrace, SystemConfig};
 use laminar_sim::{Duration, SpanKind, Time};
 use laminar_workload::{Checkpoint, WorkloadGenerator};
@@ -266,6 +266,7 @@ pub fn recovery(opts: &Opts) -> String {
                 &LaminarSystem::default(),
                 &replay_config(opts.seed, SystemKind::Laminar),
                 *cadence,
+                ResumeFrom::Every,
             ),
         );
         row(
@@ -274,6 +275,7 @@ pub fn recovery(opts: &Opts) -> String {
                 &VerlSync,
                 &replay_config(opts.seed, SystemKind::Verl),
                 *cadence,
+                ResumeFrom::Every,
             ),
         );
         row(
@@ -282,6 +284,7 @@ pub fn recovery(opts: &Opts) -> String {
                 &OneStepStaleness,
                 &replay_config(opts.seed, SystemKind::OneStep),
                 *cadence,
+                ResumeFrom::Every,
             ),
         );
         row(
@@ -290,6 +293,7 @@ pub fn recovery(opts: &Opts) -> String {
                 &StreamGeneration,
                 &replay_config(opts.seed, SystemKind::StreamGen),
                 *cadence,
+                ResumeFrom::Every,
             ),
         );
         row(
@@ -298,6 +302,7 @@ pub fn recovery(opts: &Opts) -> String {
                 &PartialRollout,
                 &replay_config(opts.seed, SystemKind::PartialRollout),
                 *cadence,
+                ResumeFrom::Every,
             ),
         );
     }
@@ -336,15 +341,18 @@ pub fn recovery(opts: &Opts) -> String {
 /// `recovery` experiment and saved in `results/recovery.txt`):
 /// deterministically re-runs the system to the checkpoint, verifies the
 /// snapshot fingerprint, resumes to completion, and compares the resumed
-/// report against the uninterrupted run's.
-pub fn resume_from_descriptor(path: &Path, opts: &Opts) -> String {
-    let text = std::fs::read_to_string(path).expect("read checkpoint descriptor file");
+/// report against the uninterrupted run's. A file that cannot be read, has
+/// no descriptor line, or describes no checkpoint this binary can replay
+/// is an error.
+pub fn resume_from_descriptor(path: &Path, opts: &Opts) -> Result<String, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("read checkpoint descriptor {}: {e}", path.display()))?;
     let line = text
         .lines()
         .map(str::trim_start)
         .find(|l| l.starts_with("checkpoint "))
-        .expect("no `checkpoint ...` descriptor line in file");
-    let mut system = String::new();
+        .ok_or_else(|| format!("no `checkpoint ...` descriptor line in {}", path.display()))?;
+    let mut system = "";
     let mut seed = opts.seed;
     let mut every = Duration::ZERO;
     let mut index = usize::MAX;
@@ -352,56 +360,31 @@ pub fn resume_from_descriptor(path: &Path, opts: &Opts) -> String {
     for tok in line.split_whitespace().skip(1) {
         let (k, v) = tok
             .split_once('=')
-            .expect("descriptor tokens are key=value");
+            .ok_or_else(|| format!("descriptor token `{tok}` is not key=value"))?;
+        let bad = || format!("descriptor value `{tok}` does not parse");
         match k {
-            "system" => system = v.to_string(),
-            "seed" => seed = v.parse().expect("seed"),
-            "every_ns" => every = Duration::from_nanos(v.parse().expect("every_ns")),
-            "index" => index = v.parse().expect("index"),
+            "system" => system = v,
+            "seed" => seed = v.parse().map_err(|_| bad())?,
+            "every_ns" => every = Duration::from_nanos(v.parse().map_err(|_| bad())?),
+            "index" => index = v.parse().map_err(|_| bad())?,
             // Informational / legacy keys: the replay re-derives `at`, and
             // the replay config no longer depends on `quick`.
             "at_ns" | "quick" => {}
-            "fingerprint" => fingerprint = u64::from_str_radix(v, 16).expect("fingerprint hex"),
-            other => panic!("unknown descriptor key: {other}"),
+            "fingerprint" => fingerprint = u64::from_str_radix(v, 16).map_err(|_| bad())?,
+            other => return Err(format!("unknown descriptor key: {other}")),
         }
     }
-    match system.as_str() {
-        "laminar" => replay(
-            &LaminarSystem::default(),
-            &replay_config(seed, SystemKind::Laminar),
-            every,
-            index,
-            fingerprint,
-        ),
-        "verl" => replay(
-            &VerlSync,
-            &replay_config(seed, SystemKind::Verl),
-            every,
-            index,
-            fingerprint,
-        ),
-        "one-step" => replay(
-            &OneStepStaleness,
-            &replay_config(seed, SystemKind::OneStep),
-            every,
-            index,
-            fingerprint,
-        ),
-        "stream-gen" => replay(
-            &StreamGeneration,
-            &replay_config(seed, SystemKind::StreamGen),
-            every,
-            index,
-            fingerprint,
-        ),
-        "partial-rollout" => replay(
-            &PartialRollout,
-            &replay_config(seed, SystemKind::PartialRollout),
-            every,
-            index,
-            fingerprint,
-        ),
-        other => panic!("unknown system in descriptor: {other}"),
+    if every == Duration::ZERO {
+        return Err("descriptor every_ns must be a positive cadence".to_string());
+    }
+    let kind = crate::lab::spec::parse_system(system)?;
+    let cfg = replay_config(seed, kind);
+    match kind {
+        SystemKind::Laminar => replay(&LaminarSystem::default(), &cfg, every, index, fingerprint),
+        SystemKind::Verl => replay(&VerlSync, &cfg, every, index, fingerprint),
+        SystemKind::OneStep => replay(&OneStepStaleness, &cfg, every, index, fingerprint),
+        SystemKind::StreamGen => replay(&StreamGeneration, &cfg, every, index, fingerprint),
+        SystemKind::PartialRollout => replay(&PartialRollout, &cfg, every, index, fingerprint),
     }
 }
 
@@ -411,20 +394,20 @@ fn replay<S: Recoverable>(
     every: Duration,
     index: usize,
     want: u64,
-) -> String {
+) -> Result<String, String> {
     let (_, snapshots) = sys.run_checkpointed(cfg, every, &mut NullTrace);
     let total = snapshots.len();
     let snap = snapshots
         .into_iter()
         .find(|s| s.index == index)
-        .unwrap_or_else(|| panic!("descriptor index {index} out of range ({total} snapshots)"));
+        .ok_or_else(|| format!("descriptor index {index} out of range ({total} snapshots)"))?;
     let got = S::fingerprint(&snap.state);
     let verified = got == want;
     let at = snap.at;
     let resumed = sys.resume(snap.state, &mut NullTrace);
     let base = sys.run_traced(cfg, &mut NullTrace);
     let identical = format!("{resumed:?}") == format!("{base:?}");
-    format!(
+    Ok(format!(
         "resume {} from checkpoint {index} (t = {:.1}s, cadence {:.1}s)\n\
          fingerprint: got {got:016x}, want {want:016x} — verified: {}\n\
          resumed throughput: {:.0} tok/s\n\
@@ -435,7 +418,7 @@ fn replay<S: Recoverable>(
         if verified { "yes" } else { "NO" },
         resumed.throughput,
         if identical { "yes" } else { "NO" },
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -460,7 +443,7 @@ mod tests {
         std::fs::create_dir_all(&dir).expect("create temp dir");
         let path = dir.join("ckpt.txt");
         std::fs::write(&path, line).expect("write descriptor");
-        let out = resume_from_descriptor(&path, &o);
+        let out = resume_from_descriptor(&path, &o).expect("valid descriptor replays");
         assert!(out.contains("verified: yes"), "{out}");
         assert!(
             out.contains("resumed report identical to uninterrupted run: yes"),

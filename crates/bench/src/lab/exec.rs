@@ -229,15 +229,16 @@ fn run_trial(spec: &LabSpec, trial: &Trial, tracing: bool) -> (TrialRow, Option<
         push("violations", run.violations().len() as f64);
         if v.checkpoint_every_secs > 0.0 {
             // Checkpoint validation rides along: the same system (faults
-            // and all) re-runs under the soak checker, which commits a
+            // and all) re-runs under the resume checker, which commits a
             // delta checkpoint at every cadence point, verifies every
             // manifest chain and fingerprint, and resumes from the final
-            // checkpoint — O(run) even at tight cadences, so soak specs
-            // can commit hundreds of checkpoints per trial.
-            let soak = laminar_runtime::check_checkpoint_soak(
+            // checkpoint only — O(run) even at tight cadences, so soak
+            // specs can commit hundreds of checkpoints per trial.
+            let soak = laminar_runtime::check_resume_equivalence(
                 &sys,
                 &cfg,
                 laminar_sim::Duration::from_secs_f64(v.checkpoint_every_secs),
+                laminar_runtime::ResumeFrom::Last,
             );
             let c = &soak.cost;
             let pts = c.points.max(1) as f64;

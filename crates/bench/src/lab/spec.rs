@@ -251,7 +251,7 @@ impl WorkloadKind {
     }
 }
 
-fn parse_system(s: &str) -> Result<SystemKind, String> {
+pub(crate) fn parse_system(s: &str) -> Result<SystemKind, String> {
     match s {
         "verl" => Ok(SystemKind::Verl),
         "one-step" => Ok(SystemKind::OneStep),
@@ -282,9 +282,10 @@ pub struct VariantSpec {
     pub warmup: usize,
     /// Delta-checkpoint cadence in virtual seconds; `0` (the default)
     /// disables checkpoint validation. When positive, every trial
-    /// additionally runs `check_resume_equivalence` at this cadence and
-    /// reports `ckpt_*` metrics (equivalence verdict, delta-vs-whole
-    /// bytes, steady-state ratio). Laminar-only, like the chaos knobs.
+    /// additionally runs `check_resume_equivalence` at this cadence,
+    /// resuming from the final checkpoint only, and reports `ckpt_*`
+    /// metrics (equivalence verdict, delta-vs-whole bytes, steady-state
+    /// ratio). Laminar-only, like the chaos knobs.
     pub checkpoint_every_secs: f64,
     /// Faults per generated chaos schedule; `0` disables fault injection.
     /// Chaos knobs require `system = "laminar"` (the invariant-checked

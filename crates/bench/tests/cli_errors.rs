@@ -56,3 +56,36 @@ fn unreadable_or_malformed_spec_exits_2() {
     assert_usage_error(&["--spec", missing.to_str().expect("utf-8 path")], &out_dir);
     let _ = std::fs::remove_dir_all(&out);
 }
+
+#[test]
+fn bad_resume_from_files_exit_2() {
+    let out = scratch_dir("resume");
+    let out_dir = out.join("out");
+    let missing = out.join("missing.txt");
+    assert_usage_error(
+        &["--resume-from", missing.to_str().expect("utf-8 path")],
+        &out_dir,
+    );
+    let every = "every_ns=20000000000";
+    let cases = [
+        "no descriptor line here\n".to_string(),
+        format!("checkpoint system=laminar seed=1 {every} index\n"),
+        format!("checkpoint system=laminar colour=red {every} index=0\n"),
+        format!("checkpoint system=laminar seed=x {every} index=0\n"),
+        "checkpoint system=laminar seed=1 every_ns=2e10 index=0\n".to_string(),
+        format!("checkpoint system=laminar seed=1 {every} index=-1\n"),
+        format!("checkpoint system=laminar seed=1 {every} index=0 fingerprint=xyz\n"),
+        "checkpoint system=laminar seed=1 every_ns=0 index=0\n".to_string(),
+        format!("checkpoint system=nope seed=1 {every} index=0\n"),
+        format!("checkpoint system=laminar seed=1 {every} index=100000\n"),
+    ];
+    for (i, text) in cases.iter().enumerate() {
+        let file = out.join(format!("descriptor-{i}.txt"));
+        std::fs::write(&file, text).expect("write descriptor");
+        assert_usage_error(
+            &["--resume-from", file.to_str().expect("utf-8 path")],
+            &out_dir,
+        );
+    }
+    let _ = std::fs::remove_dir_all(&out);
+}

@@ -1,17 +1,19 @@
-//! Property tests for the incremental delta-checkpoint encoder.
+//! Property tests for delta checkpoints.
 //!
-//! `LaminarSystem::run_delta_checkpointed` builds each cadence point's
-//! [`StateImage`] incrementally from dirty-set tracking (only planes whose
-//! state moved since the previous point re-encode). The contract holding
-//! that override honest: every committed image must be *byte-identical* to
-//! what a from-scratch `encode_state` of the same snapshot produces, and
-//! the manifest's recorded fingerprint must match both. These tests sweep
-//! that property across 16 seeds of generated chaos schedules, then soak a
-//! tight cadence (hundreds of checkpoints in one run) and prove a resume
-//! off the full manifest chain.
+//! `run_delta_checkpointed` commits each cadence point's [`StateImage`]
+//! into a content-addressed [`DeltaStore`] that writes only chunks it has
+//! not seen before. The contract holding the store honest: the image
+//! reconstructed from a manifest's chunk keys must equal a fresh
+//! `encode_state` of the same snapshot as a value, the manifest's recorded
+//! fingerprint must match it, and the manifest chain must verify. These
+//! tests sweep that property across 16 seeds of generated chaos schedules,
+//! then soak a tight cadence (hundreds of checkpoints in one run) and prove
+//! a resume off the full manifest chain.
+//!
+//! [`StateImage`]: laminar_runtime::StateImage
 
 use laminar_core::{generate_schedule, ChaosConfig, LaminarSystem};
-use laminar_runtime::recovery::{check_checkpoint_soak, Recoverable};
+use laminar_runtime::recovery::{check_resume_equivalence, Recoverable, ResumeFrom};
 use laminar_runtime::{DeltaStore, RecordingTrace, SystemConfig};
 use laminar_sim::{Duration, Time};
 use laminar_workload::{Checkpoint, WorkloadGenerator};
@@ -25,13 +27,13 @@ fn small_cfg() -> SystemConfig {
     c
 }
 
-/// Incremental image == fresh whole-state encode == manifest fingerprint,
-/// at every cadence point, across 16 seeds of chaos schedules. Any plane
-/// the dirty-set tracker fails to re-encode (or re-encodes differently)
-/// breaks the `StateImage` equality, not just the fingerprint — so a
-/// mismatch pinpoints the plane rather than hiding behind a hash.
+/// Store-reconstructed image == fresh whole-state encode == manifest
+/// fingerprint, at every cadence point, across 16 seeds of chaos
+/// schedules, with every manifest chain intact. A chunk the store loses or
+/// mis-keys breaks the `StateImage` equality, not just the fingerprint —
+/// so a mismatch pinpoints the plane rather than hiding behind a hash.
 #[test]
-fn incremental_images_match_fresh_encodes_across_chaos_seeds() {
+fn reconstructed_images_match_fresh_encodes_across_chaos_seeds() {
     let cfg = small_cfg();
     for seed in 0..16u64 {
         let faults = generate_schedule(
@@ -65,7 +67,7 @@ fn incremental_images_match_fresh_encodes_across_chaos_seeds() {
             });
             assert_eq!(
                 reconstructed, fresh,
-                "seed {seed}: checkpoint {} incremental image differs from fresh encode",
+                "seed {seed}: checkpoint {} reconstructed image differs from fresh encode",
                 ckpt.index
             );
             assert_eq!(
@@ -93,7 +95,7 @@ fn tight_cadence_soak_resumes_off_full_manifest_chain() {
         faults: laminar_core::overlapping_scenario(cfg.replicas()),
         ..LaminarSystem::default()
     };
-    let soak = check_checkpoint_soak(&sys, &cfg, Duration::from_secs(2));
+    let soak = check_resume_equivalence(&sys, &cfg, Duration::from_secs(2), ResumeFrom::Last);
     assert!(
         soak.snapshots >= 100,
         "expected a hundreds-of-checkpoints soak, got {}",
@@ -102,12 +104,12 @@ fn tight_cadence_soak_resumes_off_full_manifest_chain() {
     assert!(
         soak.identical(),
         "soak diverged: {} ({}/{} fingerprints verified, checkpointed identical: {}, \
-         last resume identical: {})",
+         final resume identical: {})",
         soak.first_divergence.as_deref().unwrap_or("unknown"),
         soak.fingerprints_verified,
         soak.snapshots,
         soak.checkpointed_identical,
-        soak.last_resume_identical,
+        soak.resumes_identical == 1,
     );
     // Deduplication is the point of the exercise: at a 2 s cadence the
     // overwhelming majority of chunks must be reused from earlier commits.

@@ -7,7 +7,7 @@
 
 use laminar_baselines::{OneStepStaleness, PartialRollout, StreamGeneration, VerlSync};
 use laminar_core::LaminarSystem;
-use laminar_runtime::recovery::{check_resume_equivalence, Recoverable};
+use laminar_runtime::recovery::{check_resume_equivalence, Recoverable, ResumeFrom};
 use laminar_runtime::SystemConfig;
 use laminar_sim::Duration;
 use laminar_workload::{Checkpoint, WorkloadGenerator};
@@ -34,7 +34,7 @@ fn assert_equivalent<S: Recoverable>(sys: &S, cfg: &SystemConfig, name: &str) {
     // Two cadences with no common divisor, so snapshots land at different
     // run states in each pass.
     for secs in [20u64, 33] {
-        let eq = check_resume_equivalence(sys, cfg, Duration::from_secs(secs));
+        let eq = check_resume_equivalence(sys, cfg, Duration::from_secs(secs), ResumeFrom::Every);
         assert!(
             eq.snapshots > 0,
             "{name} @ {secs}s: run too short to cross a cadence point"

@@ -231,9 +231,8 @@ impl TrajState {
 
     /// Appends the state's canonical checkpoint encoding: a fixed-order
     /// word stream covering every field (spec included). One trajectory =
-    /// one delta-checkpoint chunk, so the encoding must be identical no
-    /// matter whether a full or an incremental encoder produced it — both
-    /// call exactly this method.
+    /// one delta-checkpoint chunk, so an unchanged trajectory keeps its
+    /// chunk key from one cadence point to the next.
     pub fn encode_words(&self, out: &mut Vec<u64>) {
         self.spec.encode_words(out);
         out.push(self.segment as u64);

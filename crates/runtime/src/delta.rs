@@ -27,8 +27,8 @@
 //! fingerprint — a full chunk-integrity + state-identity check before any
 //! event replays.
 
-use crate::recovery::fnv1a;
 use crate::report::RunReport;
+use laminar_sim::hash::{fnv1a, fnv1a_bytes, fnv1a_fold, FNV_OFFSET};
 use laminar_sim::{Time, TraceSpan};
 use std::collections::HashMap;
 
@@ -38,7 +38,7 @@ use std::collections::HashMap;
 pub const PAGE_WORDS: usize = 32;
 
 /// Trace spans per chunk in span planes. Spans are append-only during a
-/// run, so full batches never re-encode and only the tail batch is dirty.
+/// run, so full batches keep their chunk keys and only the tail batch is new.
 pub const SPAN_BATCH: usize = 8;
 
 /// One named plane of a state image: an ordered list of word chunks.
@@ -111,13 +111,8 @@ impl StateImage {
     /// chunk structure, and words. Two states are delta-equivalent iff
     /// their images fingerprint equal.
     pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut fold = |w: u64| {
-            for b in w.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        let mut h = FNV_OFFSET;
+        let mut fold = |w: u64| h = fnv1a_fold(h, &w.to_le_bytes());
         for plane in &self.planes {
             fold(fnv1a_bytes(plane.name.as_bytes()));
             fold(plane.chunks.len() as u64);
@@ -130,16 +125,6 @@ impl StateImage {
         }
         h
     }
-}
-
-/// FNV-1a over raw bytes (plane names, string-valued state).
-pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 /// Content-address of one chunk: FNV-1a over its length then words, so a
@@ -287,11 +272,6 @@ impl DeltaStore {
         &self.manifests
     }
 
-    /// Number of distinct chunks stored.
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
     /// Total bytes of stored chunk content.
     pub fn stored_bytes(&self) -> u64 {
         8 * self.chunks.values().map(|c| c.len() as u64).sum::<u64>()
@@ -356,8 +336,8 @@ impl DeltaStore {
     }
 }
 
-/// Incremental word-stream encoder helpers shared by every system's
-/// `encode_state`: push typed values onto a word vector in a fixed order.
+/// Word-stream encoder helpers shared by every system's `encode_state`:
+/// push typed values onto a word vector in a fixed order.
 #[derive(Debug, Default)]
 pub struct WordEnc {
     words: Vec<u64>,
@@ -453,8 +433,8 @@ pub fn encode_span_plane(name: &'static str, spans: &[TraceSpan]) -> StatePlane 
     plane
 }
 
-/// Encodes one span batch as a single chunk (shared by the full and the
-/// incremental encoders so chunk boundaries — and hence keys — agree).
+/// Encodes one span batch as a single chunk (shared by every span plane
+/// so chunk boundaries — and hence keys — agree).
 pub fn encode_span_batch(batch: &[TraceSpan]) -> Vec<u64> {
     let mut words = Vec::with_capacity(6 * batch.len());
     for s in batch {

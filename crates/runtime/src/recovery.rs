@@ -97,12 +97,10 @@ pub trait Recoverable: RlSystem {
     }
 
     /// Runs to completion, committing a delta checkpoint into `store` at
-    /// every cadence point. The default implementation encodes each
-    /// snapshot from scratch; systems with dirty-set tracking override it
-    /// to build images incrementally (O(dirty) per cadence point instead
-    /// of O(world)). Either way the committed images must be byte-identical
-    /// to what [`encode_state`](Recoverable::encode_state) produces — the
-    /// property tests hold overrides to that.
+    /// every cadence point: the snapshots of
+    /// [`run_checkpointed`](Recoverable::run_checkpointed), each encoded
+    /// with [`encode_state`](Recoverable::encode_state) and committed in
+    /// cadence order.
     fn run_delta_checkpointed(
         &self,
         cfg: &SystemConfig,
@@ -173,19 +171,6 @@ pub trait Recoverable: RlSystem {
     }
 }
 
-/// FNV-1a over a word stream: the fingerprint fold every implementation
-/// uses (declared here so digests stay consistent across crates).
-pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
-}
-
 /// Aggregate checkpoint-cost accounting across one checkpointed run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointCost {
@@ -228,11 +213,24 @@ impl CheckpointCost {
     }
 }
 
+/// Which committed checkpoints [`check_resume_equivalence`] resumes.
+/// Every manifest is verified either way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResumeFrom {
+    /// Resume from every checkpoint: O(points × run length).
+    Every,
+    /// Resume from the final checkpoint only: O(run), for soak studies
+    /// that commit hundreds of checkpoints per run.
+    Last,
+}
+
 /// Outcome of one checkpoint/restore equivalence check.
 #[derive(Debug, Clone)]
 pub struct ResumeEquivalence {
     /// The checkpoint cadence exercised.
     pub cadence: Duration,
+    /// Which checkpoints were resumed.
+    pub resume: ResumeFrom,
     /// Snapshots the checkpointed run captured.
     pub snapshots: usize,
     /// The checkpointed run itself matched the uninterrupted run.
@@ -240,7 +238,7 @@ pub struct ResumeEquivalence {
     /// How many resumed snapshots reproduced the uninterrupted run.
     pub resumes_identical: usize,
     /// How many checkpoints passed the full manifest-chain + fingerprint
-    /// verification before resuming.
+    /// verification.
     pub fingerprints_verified: usize,
     /// Delta-checkpoint cost accounting for the checkpointed run.
     pub cost: CheckpointCost,
@@ -249,128 +247,32 @@ pub struct ResumeEquivalence {
 }
 
 impl ResumeEquivalence {
-    /// True when the checkpointed run and every resumed snapshot matched
-    /// the uninterrupted run byte for byte, with every checkpoint passing
-    /// fingerprint verification.
+    /// True when the checkpointed run and every resume the mode asks for
+    /// matched the uninterrupted run byte for byte, with every checkpoint
+    /// passing fingerprint verification. [`ResumeFrom::Last`] asks for one
+    /// resume, so a run that committed no checkpoint fails it.
     pub fn identical(&self) -> bool {
+        let resumes = match self.resume {
+            ResumeFrom::Every => self.snapshots,
+            ResumeFrom::Last => 1,
+        };
         self.checkpointed_identical
-            && self.resumes_identical == self.snapshots
+            && self.resumes_identical == resumes
             && self.fingerprints_verified == self.snapshots
-    }
-}
-
-/// Outcome of one checkpoint soak (see [`check_checkpoint_soak`]).
-#[derive(Debug, Clone)]
-pub struct CheckpointSoak {
-    /// The checkpoint cadence exercised.
-    pub cadence: Duration,
-    /// Checkpoints the delta-checkpointed run committed.
-    pub snapshots: usize,
-    /// The checkpointed run itself matched the uninterrupted run.
-    pub checkpointed_identical: bool,
-    /// How many checkpoints passed manifest-chain + fingerprint
-    /// verification.
-    pub fingerprints_verified: usize,
-    /// Whether the resume from the final checkpoint reproduced the
-    /// uninterrupted run byte for byte.
-    pub last_resume_identical: bool,
-    /// Delta-checkpoint cost accounting for the checkpointed run.
-    pub cost: CheckpointCost,
-    /// Human-readable description of the first failure, if any.
-    pub first_divergence: Option<String>,
-}
-
-impl CheckpointSoak {
-    /// True when the checkpointed run matched the uninterrupted run, every
-    /// manifest verified, and the final-checkpoint resume was identical.
-    pub fn identical(&self) -> bool {
-        self.checkpointed_identical
-            && self.fingerprints_verified == self.snapshots
-            && self.last_resume_identical
-    }
-}
-
-/// The O(run)-cost sibling of [`check_resume_equivalence`] for tight
-/// cadences: runs `sys` uninterrupted and delta-checkpointed, verifies
-/// *every* committed manifest (chain intact, reconstructed image hashes
-/// to the recorded fingerprint, live state re-encodes to the same
-/// fingerprint), but resumes only from the final checkpoint. Soak studies
-/// committing hundreds of checkpoints use this — resuming from each one
-/// would cost O(points × run length).
-pub fn check_checkpoint_soak<S: Recoverable>(
-    sys: &S,
-    cfg: &SystemConfig,
-    every: Duration,
-) -> CheckpointSoak {
-    let mut base_trace = RecordingTrace::new();
-    let base_report = sys.run_traced(cfg, &mut base_trace);
-    let base_text = format!("{base_report:?}");
-    let base_jsonl = base_trace.to_jsonl();
-
-    let mut store = DeltaStore::new();
-    let mut ck_trace = RecordingTrace::new();
-    let (ck_report, checkpoints) =
-        sys.run_delta_checkpointed(cfg, every, &mut ck_trace, &mut store);
-    let mut first_divergence = None;
-    let checkpointed_identical =
-        format!("{ck_report:?}") == base_text && ck_trace.to_jsonl() == base_jsonl;
-    if !checkpointed_identical {
-        first_divergence = Some("checkpointed run diverged from uninterrupted run".to_string());
-    }
-
-    let total = checkpoints.len();
-    let mut fingerprints_verified = 0;
-    let mut cost = CheckpointCost::default();
-    let mut last_resume_identical = false;
-    let last_index = total.saturating_sub(1);
-    for ckpt in checkpoints {
-        cost.absorb(&ckpt.stats);
-        match S::verify_checkpoint(&store, &ckpt) {
-            Ok(()) => fingerprints_verified += 1,
-            Err(err) => {
-                if first_divergence.is_none() {
-                    first_divergence = Some(format!(
-                        "checkpoint {} (t = {:.1}s) failed verification: {err}",
-                        ckpt.index,
-                        ckpt.at.as_secs_f64()
-                    ));
-                }
-                continue;
-            }
-        }
-        if ckpt.index == last_index {
-            let (at, index) = (ckpt.at, ckpt.index);
-            let mut trace = RecordingTrace::new();
-            let report = sys.resume(ckpt.state, &mut trace);
-            last_resume_identical =
-                format!("{report:?}") == base_text && trace.to_jsonl() == base_jsonl;
-            if !last_resume_identical && first_divergence.is_none() {
-                first_divergence = Some(format!(
-                    "resume from final checkpoint {index} (t = {:.1}s) diverged",
-                    at.as_secs_f64()
-                ));
-            }
-        }
-    }
-    CheckpointSoak {
-        cadence: every,
-        snapshots: total,
-        checkpointed_identical,
-        fingerprints_verified,
-        last_resume_identical,
-        cost,
-        first_divergence,
     }
 }
 
 /// Runs `sys` three ways — uninterrupted, delta-checkpointed at `every`,
-/// and resumed (with manifest-chain + fingerprint verification) from every
-/// committed checkpoint — and verifies that report text and trace JSONL are
-/// byte-identical across all of them.
+/// and resumed from the checkpoints `resume` selects — and verifies that
+/// report text and trace JSONL are byte-identical across all of them.
+/// Every committed manifest is verified (chain intact, reconstructed image
+/// hashes to the recorded fingerprint, live state re-encodes to the same
+/// fingerprint), and a checkpoint resumes only after it verifies.
 pub fn check_resume_equivalence<S: Recoverable>(
     sys: &S,
     cfg: &SystemConfig,
     every: Duration,
+    resume: ResumeFrom,
 ) -> ResumeEquivalence {
     let mut base_trace = RecordingTrace::new();
     let base_report = sys.run_traced(cfg, &mut base_trace);
@@ -395,31 +297,35 @@ pub fn check_resume_equivalence<S: Recoverable>(
     for ckpt in checkpoints {
         cost.absorb(&ckpt.stats);
         let (at, index) = (ckpt.at, ckpt.index);
+        if let Err(err) = S::verify_checkpoint(&store, &ckpt) {
+            first_divergence.get_or_insert_with(|| {
+                format!(
+                    "checkpoint {index} (t = {:.1}s) failed verification: {err}",
+                    at.as_secs_f64()
+                )
+            });
+            continue;
+        }
+        fingerprints_verified += 1;
+        if resume == ResumeFrom::Last && index + 1 != total {
+            continue;
+        }
         let mut trace = RecordingTrace::new();
-        match sys.resume_verified(&store, ckpt, &mut trace) {
-            Ok(report) => {
-                fingerprints_verified += 1;
-                if format!("{report:?}") == base_text && trace.to_jsonl() == base_jsonl {
-                    resumes_identical += 1;
-                } else if first_divergence.is_none() {
-                    first_divergence = Some(format!(
-                        "resume from checkpoint {index} (t = {:.1}s) diverged",
-                        at.as_secs_f64()
-                    ));
-                }
-            }
-            Err(err) => {
-                if first_divergence.is_none() {
-                    first_divergence = Some(format!(
-                        "checkpoint {index} (t = {:.1}s) failed verification: {err}",
-                        at.as_secs_f64()
-                    ));
-                }
-            }
+        let report = sys.resume(ckpt.state, &mut trace);
+        if format!("{report:?}") == base_text && trace.to_jsonl() == base_jsonl {
+            resumes_identical += 1;
+        } else {
+            first_divergence.get_or_insert_with(|| {
+                format!(
+                    "resume from checkpoint {index} (t = {:.1}s) diverged",
+                    at.as_secs_f64()
+                )
+            });
         }
     }
     ResumeEquivalence {
         cadence: every,
+        resume,
         snapshots: total,
         checkpointed_identical,
         resumes_identical,

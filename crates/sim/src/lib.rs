@@ -40,6 +40,7 @@
 //! ```
 
 pub mod engine;
+pub mod hash;
 pub mod policy;
 pub mod rng;
 pub mod stats;

@@ -40,11 +40,7 @@ impl SimRng {
     /// streams for distinct `(label, index)` pairs are independent even when
     /// root seeds are small consecutive integers.
     pub fn derive(seed: u64, label: &str, index: u64) -> Self {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in label.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
+        let mut h = crate::hash::fnv1a_bytes(label.as_bytes());
         h ^= index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         SimRng::new(splitmix64(seed ^ h))
     }
