@@ -1,34 +1,28 @@
-//! Allocation accounting for the bench plane: a counting
-//! `#[global_allocator]` wrapper over the system allocator.
+//! Allocation accounting for the benchmark of record (`perfbench/`): a
+//! counting `#[global_allocator]` wrapper over the system allocator.
 //!
 //! The workspace is dependency-free, so this is a std-only shim: every
 //! allocation bumps a relaxed atomic counter and the current-bytes gauge
 //! (whose running maximum is the peak-RSS proxy), then defers to
 //! [`std::alloc::System`]. Counting is **gated**: until [`enable`] is
-//! called the fast path is a single relaxed load, so registering the
-//! wrapper in the `laminar-experiments` binary costs experiment runs
-//! nothing measurable — only `--bench` turns the counters on.
+//! called the fast path is a single relaxed load.
 //!
 //! The wrapper must be registered as the global allocator by the *binary*
-//! (`#[global_allocator]` in `laminar_experiments.rs`); library tests run
-//! under the default allocator, where [`is_active`] stays `false` and
-//! reported stats are zero. `scripts/bench.sh` diffs the resulting
-//! `allocs_per_event` columns across reports exactly like the throughput
-//! columns, so allocation regressions fail the same way.
+//! that measures: `perfbench` registers it, enables counting for its traced
+//! rounds and reads [`measure`] for its `rollout.allocs_per_event` and
+//! `runtime.delta.allocs_per_point` metrics. Library tests run under the
+//! default allocator, where reported stats are zero.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-/// Set the first time an allocation is counted — distinguishes "wrapper
-/// registered and measuring" from "library test without registration".
-static ACTIVE: AtomicBool = AtomicBool::new(false);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static CURRENT_BYTES: AtomicU64 = AtomicU64::new(0);
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Counting wrapper over the system allocator. Register with
-/// `#[global_allocator]` in a bench-capable binary.
+/// `#[global_allocator]` in the measuring binary.
 pub struct CountingAlloc;
 
 impl CountingAlloc {
@@ -37,7 +31,6 @@ impl CountingAlloc {
         if !ENABLED.load(Ordering::Relaxed) {
             return;
         }
-        ACTIVE.store(true, Ordering::Relaxed);
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         let now = CURRENT_BYTES.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
         PEAK_BYTES.fetch_max(now, Ordering::Relaxed);
@@ -84,21 +77,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 }
 
-/// Turns counting on (bench entry point only).
+/// Turns counting on.
 pub fn enable() {
     ENABLED.store(true, Ordering::Relaxed);
 }
 
-/// Turns counting back off (end of the bench run).
+/// Turns counting back off.
 pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
-}
-
-/// True once the registered wrapper has counted at least one allocation —
-/// i.e. the process really runs under [`CountingAlloc`] with counting
-/// enabled. False in library tests, where stats read zero.
-pub fn is_active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
 }
 
 /// A point-in-time reading of the counters.
@@ -144,7 +130,6 @@ mod tests {
         let (v, stats) = measure(|| vec![0u8; 4096].len());
         disable();
         assert_eq!(v, 4096);
-        assert!(!is_active());
         assert_eq!(stats.allocs, 0);
         assert_eq!(stats.peak_bytes, 0);
     }

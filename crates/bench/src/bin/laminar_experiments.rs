@@ -6,7 +6,6 @@
 //!                     [--checkpoint-every SECS] [--out DIR]
 //!                     [--trace FILE] <id>... | all | list
 //! laminar-experiments --spec FILE... [--full] [--jobs N] [--out DIR]
-//! laminar-experiments --bench [--smoke] [--jobs N] [--bench-out FILE]
 //! laminar-experiments --resume-from FILE
 //! laminar-experiments --list
 //! ```
@@ -22,11 +21,6 @@
 //! result files are written, and trace spans flushed, in experiment id
 //! order after the parallel runs complete. The default is the machine's
 //! available parallelism; `--jobs 1` forces the serial path.
-//!
-//! `--bench` instead runs the in-tree benchmark harness (engine-hot-path
-//! micro-benchmark plus an end-to-end serial-vs-parallel suite timing) and
-//! writes `BENCH_rollout.json` (override with `--bench-out`). `--smoke`
-//! shrinks it to a few seconds for CI.
 //!
 //! `--checkpoint-every SECS` sets the checkpoint cadence the `recovery`
 //! experiment exercises; its report includes `checkpoint ...` descriptor
@@ -51,12 +45,14 @@
 //! Bad input exits with status 2 and one line on stderr: an unknown flag,
 //! a missing or malformed flag value, an unknown experiment id (checked
 //! before any run starts), a `--spec` file that cannot be read, parsed
-//! or evaluated, or a `--resume-from` file that holds no replayable
-//! checkpoint descriptor. A failing regression gate exits with status 1.
+//! or evaluated, a `--resume-from` file that holds no replayable
+//! checkpoint descriptor, or an `--out` directory that cannot be created
+//! or a `--trace` file that cannot be opened (both checked before any
+//! run starts). A failing regression gate exits with status 1.
 
 use laminar_bench::{
-    all_experiment_ids, benchmarks, default_jobs, effective_jobs, find_experiment,
-    resume_from_descriptor, run_experiment, run_indexed, run_spec, LabSpec, Opts, REGISTRY,
+    all_experiment_ids, default_jobs, effective_jobs, find_experiment, resume_from_descriptor,
+    run_experiment, run_indexed, run_spec, LabSpec, Opts, REGISTRY,
 };
 use std::fmt::Display;
 use std::io::Write as _;
@@ -64,14 +60,8 @@ use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::time::Instant;
 
-/// Counting allocator for `--bench` allocation accounting. Dormant (one
-/// relaxed load per allocation) until the bench harness enables it.
-#[global_allocator]
-static ALLOC: laminar_bench::alloc_count::CountingAlloc = laminar_bench::alloc_count::CountingAlloc;
-
 const USAGE: &str = "usage: laminar-experiments [--full] [--seed N] [--jobs N] [--chaos-seed N] [--recovery-seed N] [--fleet-cells N] [--fleet-seed N] [--checkpoint-every SECS] [--out DIR] [--trace FILE] <id>... | all | list
        laminar-experiments --spec FILE... [--full] [--jobs N] [--out DIR]
-       laminar-experiments --bench [--smoke] [--jobs N] [--bench-out FILE]
        laminar-experiments --resume-from FILE
        laminar-experiments --list";
 
@@ -127,9 +117,6 @@ fn main() {
         ..Opts::default()
     };
     let mut out_dir = PathBuf::from("results");
-    let mut bench = false;
-    let mut smoke = false;
-    let mut bench_out: Option<PathBuf> = None;
     let mut resume_from: Option<PathBuf> = None;
     let mut specs: Vec<PathBuf> = Vec::new();
     let mut ids: Vec<String> = Vec::new();
@@ -138,8 +125,6 @@ fn main() {
         match a.as_str() {
             "--full" => opts.quick = false,
             "--quick" => opts.quick = true,
-            "--bench" => bench = true,
-            "--smoke" => smoke = true,
             "--seed" => opts.seed = flag_value(&mut args, &a, "an integer", any),
             "--jobs" => opts.jobs = flag_value(&mut args, &a, "a positive integer", positive),
             "--chaos-seed" => opts.chaos_seed = flag_value(&mut args, &a, "an integer", any),
@@ -160,7 +145,6 @@ fn main() {
             }
             "--resume-from" => resume_from = Some(flag_value(&mut args, &a, "a file", any)),
             "--out" => out_dir = flag_value(&mut args, &a, "a directory", any),
-            "--bench-out" => bench_out = Some(flag_value(&mut args, &a, "a file", any)),
             "--trace" => opts.trace = Some(flag_value(&mut args, &a, "a file", any)),
             "--spec" => specs.push(flag_value(&mut args, &a, "a file", any)),
             "--list" | "list" => {
@@ -188,14 +172,6 @@ fn main() {
             all_experiment_ids().join(" ")
         ));
     }
-    if bench {
-        let report = benchmarks::run_bench(smoke, opts.jobs);
-        println!("{}", report.summary());
-        let out = bench_out.unwrap_or_else(|| PathBuf::from("BENCH_rollout.json"));
-        report.write(&out).expect("write benchmark JSON");
-        eprintln!("wrote {}", out.display());
-        return;
-    }
     if let Some(path) = resume_from {
         // Deterministic checkpoint replay: rebuild the run described by the
         // descriptor, verify the snapshot fingerprint, resume to completion.
@@ -205,17 +181,33 @@ fn main() {
         }
         return;
     }
-    if !specs.is_empty() {
+    // Every spec is read and parsed before the first one runs, so a bad
+    // file fails fast instead of after minutes of trials.
+    let loaded: Vec<LabSpec> = specs
+        .iter()
+        .map(|path| load_spec(path, opts.quick).unwrap_or_else(|e| usage_error(e)))
+        .collect();
+    if loaded.is_empty() && ids.is_empty() {
+        eprintln!("{USAGE}");
+        eprintln!("experiments: {}", all_experiment_ids().join(" "));
+        std::process::exit(2);
+    }
+    // Outputs are created before any run too, so an unusable path fails
+    // in one line rather than after the run whose results it would hold.
+    if let Err(e) = std::fs::create_dir_all(&out_dir) {
+        usage_error(format!("--out {}: {e}", out_dir.display()));
+    }
+    let mut trace_file = opts.trace.as_ref().map(|path| {
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)
+            .unwrap_or_else(|e| usage_error(format!("--trace {}: {e}", path.display())))
+    });
+    if !loaded.is_empty() {
         // Declarative lab path: each spec file runs variants × seeds ×
         // repeats through the planner/executor and is summarised, gated,
         // and persisted on its own. Any failing gate fails the process.
-        // Every spec is read and parsed before the first one runs, so a
-        // bad file fails fast instead of after minutes of trials.
-        let loaded: Vec<LabSpec> = specs
-            .iter()
-            .map(|path| load_spec(path, opts.quick).unwrap_or_else(|e| usage_error(e)))
-            .collect();
-        std::fs::create_dir_all(&out_dir).expect("create results directory");
         let mut all_gates_pass = true;
         for (path, spec) in specs.iter().zip(&loaded) {
             let spec_dir = path.parent().unwrap_or_else(|| Path::new("."));
@@ -236,12 +228,6 @@ fn main() {
         }
         return;
     }
-    if ids.is_empty() {
-        eprintln!("{USAGE}");
-        eprintln!("experiments: {}", all_experiment_ids().join(" "));
-        std::process::exit(2);
-    }
-    std::fs::create_dir_all(&out_dir).expect("create results directory");
     // Fan experiments across workers. Each worker gets its own Opts clone
     // with trace output redirected into a per-experiment buffer, so spans
     // never interleave; everything is printed, written, and flushed below in
@@ -264,13 +250,8 @@ fn main() {
         let path = out_dir.join(format!("{id}.txt"));
         std::fs::write(&path, &report).expect("write result file");
         eprintln!("wrote {}", path.display());
-        if let (Some(buf), Some(trace_path)) = (buf, &opts.trace) {
+        if let (Some(buf), Some(f)) = (buf, &mut trace_file) {
             let spans = buf.lock().expect("trace buffer");
-            let mut f = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(trace_path)
-                .expect("open trace file");
             f.write_all(spans.as_bytes()).expect("append trace JSONL");
         }
     }

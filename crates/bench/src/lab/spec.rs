@@ -366,8 +366,8 @@ pub enum GateBaseline {
     Variant(String),
 }
 
-/// One regression gate: a per-metric threshold generalizing the 20% rule
-/// of `scripts/bench.sh`.
+/// One regression gate: a per-metric threshold relative to a baseline
+/// (the committed specs use a 20% band).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GateSpec {
     /// Gate name — the `NAME` of its `[gate.NAME]` section.

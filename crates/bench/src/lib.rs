@@ -12,7 +12,6 @@
 //! (8192-trajectory batches up to the 1024-GPU scale point).
 
 pub mod alloc_count;
-pub mod benchmarks;
 pub mod experiments;
 pub mod lab;
 pub mod runner;

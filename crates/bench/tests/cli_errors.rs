@@ -35,6 +35,9 @@ fn bad_flag_values_exit_2() {
     assert_usage_error(&["--checkpoint-every", "-1", "recovery"], &out);
     assert_usage_error(&["fig9", "--seed"], &out);
     assert_usage_error(&["--shards", "2", "fig9"], &out);
+    assert_usage_error(&["--bench"], &out);
+    assert_usage_error(&["--smoke", "fig9"], &out);
+    assert_usage_error(&["--bench-out", "x", "fig9"], &out);
     let _ = std::fs::remove_dir_all(&out);
 }
 
@@ -43,6 +46,25 @@ fn unknown_experiment_id_exits_2_before_any_run() {
     let out = scratch_dir("ids");
     assert_usage_error(&["fig9", "no-such-figure"], &out);
     let _ = std::fs::remove_dir_all(&out);
+}
+
+#[test]
+fn unusable_out_dir_or_trace_file_exits_2_before_any_run() {
+    let dir = scratch_dir("paths");
+    let afile = dir.join("afile");
+    std::fs::write(&afile, "").expect("write regular file");
+    let out_dir = dir.join("out");
+    let bad_out = afile.join("sub");
+    assert_usage_error(
+        &["--out", bad_out.to_str().expect("utf-8 path"), "fig2"],
+        &out_dir,
+    );
+    let bad_trace = afile.join("t.jsonl");
+    assert_usage_error(
+        &["--trace", bad_trace.to_str().expect("utf-8 path"), "fig9"],
+        &out_dir,
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

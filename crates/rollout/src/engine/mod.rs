@@ -371,20 +371,9 @@ impl ReplicaEngine {
         std::mem::take(&mut self.trace_spans)
     }
 
-    /// Hands accumulated trace spans to `drain` and clears the buffer while
-    /// keeping its capacity — the allocation-free counterpart of
-    /// [`ReplicaEngine::take_trace_spans`] for callers that drain
-    /// repeatedly (e.g. a sink's `record_slice`).
-    pub fn drain_trace_spans(&mut self, drain: &mut dyn FnMut(&[TraceSpan])) {
-        if !self.trace_spans.is_empty() {
-            drain(&self.trace_spans);
-            self.trace_spans.clear();
-        }
-    }
-
     /// Internal engine events processed so far (prefill completions, env
     /// returns, segment completions, rate re-evaluations). The denominator
-    /// of the `--bench` events/sec metric.
+    /// of perfbench's `rollout.ns_per_event` and `rollout.allocs_per_event`.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }

@@ -5,14 +5,9 @@
 //! per-event implementation: `next_internal` rescans every active trajectory
 //! for the earliest phase deadline and the minimum tokens remaining, and
 //! `apply_progress` eagerly bumps every decoding trajectory's counters at
-//! every event. It exists for two reasons:
-//!
-//! * the engine equivalence tests assert the indexed
-//!   [`ReplicaEngine`](super::ReplicaEngine) produces the same trajectory
-//!   timeline over randomized schedules;
-//! * the `laminar-experiments --bench` harness measures the events/sec
-//!   improvement of the indexed hot path against this baseline and records
-//!   it in `BENCH_rollout.json`.
+//! every event. It exists so the engine equivalence tests can assert the
+//! indexed [`ReplicaEngine`](super::ReplicaEngine) produces the same
+//! trajectory timeline over randomized schedules.
 //!
 //! It intentionally omits the inspection extras (KV series, trace spans):
 //! only the simulation-visible behaviour is reproduced.
@@ -51,7 +46,6 @@ pub struct NaiveReplicaEngine {
     completions: Vec<CompletedTraj>,
     tokens_decoded: f64,
     completed_count: u64,
-    events_processed: u64,
 }
 
 impl NaiveReplicaEngine {
@@ -76,7 +70,6 @@ impl NaiveReplicaEngine {
             completions: Vec::new(),
             tokens_decoded: 0.0,
             completed_count: 0,
-            events_processed: 0,
         }
     }
 
@@ -93,11 +86,6 @@ impl NaiveReplicaEngine {
     /// Trajectories completed so far.
     pub fn completed_count(&self) -> u64 {
         self.completed_count
-    }
-
-    /// Internal events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
     }
 
     /// Drains accumulated completion records.
@@ -190,7 +178,6 @@ impl NaiveReplicaEngine {
             }
             guard += 1;
             assert!(guard < 50_000_000, "replica engine event storm — model bug");
-            self.events_processed += 1;
             self.apply_progress(t);
             match kind {
                 Internal::PrefillDone(id) => {

@@ -16,7 +16,7 @@
 //! whole-state fingerprint, and a link to the parent manifest. The delta
 //! cost of a cadence point is therefore the bytes of its *new* chunks plus
 //! the manifest, not the whole state; [`CommitStats`] accounts both so the
-//! bench can gate on the ratio.
+//! checkpoint-soak spec can gate on the ratio.
 //!
 //! Restore runs the protocol in reverse: [`DeltaStore::reconstruct`]
 //! reassembles the image from a manifest's chunk keys,

@@ -13,12 +13,6 @@ fi
 cargo clippy --workspace --all-targets -- -D warnings
 echo "lint: clean"
 
-# Smoke-run the benchmark gate so a broken hot path or executor shows up
-# before review, not after. --warn-only: wall-clock numbers on whatever
-# machine runs lint aren't comparable to the committed report; the strict
-# (failing) comparison is a deliberate `scripts/bench.sh` run.
-scripts/bench.sh --smoke --warn-only
-
 # Lab smoke: the committed four-variant × two-seed spec end to end through
 # the planner/executor. Its regression gates compare against
 # specs/smoke.baseline.jsonl; the simulation is deterministic, so this one
