@@ -17,9 +17,7 @@ use crate::common::{
 };
 use laminar_cluster::TrainModel;
 use laminar_rollout::{CompletedTraj, ReplicaEngine};
-use laminar_runtime::delta::{
-    encode_report_plane, encode_span_batch, StateImage, StatePlane, WordEnc, SPAN_BATCH,
-};
+use laminar_runtime::delta::{encode_report_plane, StateImage, StatePlane, WordEnc};
 use laminar_runtime::recovery::{Recoverable, RunSnapshot};
 use laminar_sim::{Duration, Scheduler, SimWorld, Simulation, Time};
 use laminar_workload::{Dataset, TrajectorySpec};
@@ -399,64 +397,49 @@ impl Recoverable for PartialRollout {
 
         let mut queue = StatePlane::new("queue");
         for (at, seq, ev) in sim.scheduler.pending_entries() {
-            let mut words = vec![at.as_nanos(), seq];
-            match ev {
-                Ev::ReplicaWake { r, epoch } => words.extend([0, *r as u64, *epoch]),
-                Ev::TrainerCheck => words.push(1),
-                Ev::TrainerDone { tokens } => words.extend([2, tokens.to_bits()]),
-                Ev::Interrupt { version } => words.extend([3, *version]),
-            }
-            queue.push_chunk(words);
+            queue.chunk_with(|words| {
+                words.extend([at.as_nanos(), seq]);
+                match ev {
+                    Ev::ReplicaWake { r, epoch } => words.extend([0, *r as u64, *epoch]),
+                    Ev::TrainerCheck => words.push(1),
+                    Ev::TrainerDone { tokens } => words.extend([2, tokens.to_bits()]),
+                    Ev::Interrupt { version } => words.extend([3, *version]),
+                }
+            });
         }
         img.push_plane(queue);
 
         let mut specs = StatePlane::new("specs");
         for spec in &w.specs {
-            let mut words = Vec::new();
-            spec.encode_words(&mut words);
-            specs.push_chunk(words);
+            specs.chunk_with(|words| spec.encode_words(words));
         }
         img.push_plane(specs);
 
         let mut buffer = StatePlane::new("buffer");
         for done in &w.buffer {
-            let mut words = Vec::new();
-            done.encode_words(&mut words);
-            buffer.push_chunk(words);
+            buffer.chunk_with(|words| done.encode_words(words));
         }
         img.push_plane(buffer);
 
         let mut engines = StatePlane::new("engines");
         for eng in &w.engines {
-            let mut scalars = Vec::new();
-            eng.checkpoint_scalar_words(&mut scalars);
-            engines.push_chunk(scalars);
+            engines.chunk_with(|words| eng.checkpoint_scalar_words(words));
             for (_, st) in eng.active_states() {
-                let mut words = Vec::new();
-                st.encode_words(&mut words);
-                engines.push_chunk(words);
+                engines.chunk_with(|words| st.encode_words(words));
             }
             for st in eng.waiting_states() {
-                let mut words = Vec::new();
-                st.encode_words(&mut words);
-                engines.push_chunk(words);
+                engines.chunk_with(|words| st.encode_words(words));
             }
             for done in eng.completions() {
-                let mut words = Vec::new();
-                done.encode_words(&mut words);
-                engines.push_chunk(words);
+                engines.chunk_with(|words| done.encode_words(words));
             }
         }
         img.push_plane(engines);
 
         let mut spans = StatePlane::new("spans");
-        for batch in w.trace_spans.chunks(SPAN_BATCH) {
-            spans.push_chunk(encode_span_batch(batch));
-        }
+        spans.extend_span_batches(&w.trace_spans);
         for eng in &w.engines {
-            for batch in eng.trace_spans().chunks(SPAN_BATCH) {
-                spans.push_chunk(encode_span_batch(batch));
-            }
+            spans.extend_span_batches(eng.trace_spans());
         }
         img.push_plane(spans);
 

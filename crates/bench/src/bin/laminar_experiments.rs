@@ -48,7 +48,10 @@
 //! or evaluated, a `--resume-from` file that holds no replayable
 //! checkpoint descriptor, or an `--out` directory that cannot be created
 //! or a `--trace` file that cannot be opened (both checked before any
-//! run starts). A failing regression gate exits with status 1.
+//! run starts). A trace or result file that cannot be written also exits
+//! with status 2 and one stderr line; spans are flushed before any result
+//! file is written, so a failed trace leaves no results behind. A failing
+//! regression gate exits with status 1.
 
 use laminar_bench::{
     all_experiment_ids, default_jobs, effective_jobs, find_experiment, resume_from_descriptor,
@@ -213,13 +216,12 @@ fn main() {
             let spec_dir = path.parent().unwrap_or_else(|| Path::new("."));
             let report = run_spec(spec, &opts, spec_dir)
                 .unwrap_or_else(|e| usage_error(format!("run spec {}: {e}", path.display())));
+            check_trace(&opts);
             println!("==== {} ====\n{}", spec.name, report.render());
             let rows_path = out_dir.join(format!("{}.rows.jsonl", spec.name));
-            std::fs::write(&rows_path, &report.rows_jsonl).expect("write rows JSONL");
-            eprintln!("wrote {}", rows_path.display());
+            write_result(&rows_path, &report.rows_jsonl);
             let summary_path = out_dir.join(format!("{}.summary.txt", spec.name));
-            std::fs::write(&summary_path, report.render()).expect("write summary");
-            eprintln!("wrote {}", summary_path.display());
+            write_result(&summary_path, &report.render());
             all_gates_pass &= report.gates_pass();
         }
         if !all_gates_pass {
@@ -245,14 +247,34 @@ fn main() {
         let report = run_experiment(&id, &o);
         (id, report, buf, start.elapsed())
     });
-    for (id, report, buf, elapsed) in runs {
-        println!("==== {id} ({elapsed:.2?}) ====\n{report}");
-        let path = out_dir.join(format!("{id}.txt"));
-        std::fs::write(&path, &report).expect("write result file");
-        eprintln!("wrote {}", path.display());
-        if let (Some(buf), Some(f)) = (buf, &mut trace_file) {
+    // Spans are flushed, in id order, before any result file is written,
+    // so a trace that cannot be written leaves no results behind.
+    if let (Some(f), Some(path)) = (&mut trace_file, &opts.trace) {
+        for buf in runs.iter().filter_map(|(_, _, buf, _)| buf.as_ref()) {
             let spans = buf.lock().expect("trace buffer");
-            f.write_all(spans.as_bytes()).expect("append trace JSONL");
+            if let Err(e) = f.write_all(spans.as_bytes()) {
+                usage_error(format!("--trace {}: {e}", path.display()));
+            }
         }
     }
+    check_trace(&opts);
+    for (id, report, _, elapsed) in runs {
+        println!("==== {id} ({elapsed:.2?}) ====\n{report}");
+        write_result(&out_dir.join(format!("{id}.txt")), &report);
+    }
+}
+
+/// Exits with status 2 if appending spans to the `--trace` file failed.
+fn check_trace(opts: &Opts) {
+    if let Some(e) = opts.trace_error() {
+        usage_error(format!("--trace {e}"));
+    }
+}
+
+/// Writes one result file, exiting with status 2 if it cannot be written.
+fn write_result(path: &Path, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
+        usage_error(format!("write {}: {e}", path.display()));
+    }
+    eprintln!("wrote {}", path.display());
 }

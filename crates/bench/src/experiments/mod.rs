@@ -17,7 +17,7 @@ use laminar_core::{placement_for, LaminarSystem, SystemKind};
 use laminar_runtime::{RecordingTrace, RlSystem, RunReport, SystemConfig, TraceSink};
 use laminar_workload::WorkloadGenerator;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Harness options.
 #[derive(Debug, Clone)]
@@ -56,6 +56,10 @@ pub struct Opts {
     /// serial code paths sink at call time. Install via
     /// [`Opts::buffer_trace`]; leave `None` to write straight to the file.
     pub trace_buf: Option<Arc<Mutex<String>>>,
+    /// The first error appending to [`Opts::trace`], shared by every clone
+    /// of these options. Once set, later spans are dropped; the driver
+    /// checks [`Opts::trace_error`] before it writes any result.
+    pub trace_failed: Arc<OnceLock<String>>,
 }
 
 impl Default for Opts {
@@ -71,6 +75,7 @@ impl Default for Opts {
             fleet_seed: 1,
             checkpoint_every: None,
             trace_buf: None,
+            trace_failed: Arc::default(),
         }
     }
 }
@@ -118,13 +123,23 @@ impl Opts {
     }
 
     /// Sinks one run's recorded spans: into the in-memory buffer when one is
-    /// installed, otherwise appended to the [`Opts::trace`] JSONL file.
+    /// installed, otherwise appended to the [`Opts::trace`] JSONL file. A
+    /// failed append is recorded in [`Opts::trace_failed`], not raised.
     pub(crate) fn sink_trace(&self, rec: &RecordingTrace) {
         match (&self.trace_buf, &self.trace) {
             (Some(buf), _) => rec.write_jsonl_into(&mut buf.lock().expect("trace buffer")),
-            (None, Some(path)) => rec.append_jsonl(path).expect("append trace JSONL"),
-            (None, None) => {}
+            (None, Some(path)) if self.trace_error().is_none() => {
+                if let Err(e) = rec.append_jsonl(path) {
+                    let _ = self.trace_failed.set(format!("{}: {e}", path.display()));
+                }
+            }
+            _ => {}
         }
+    }
+
+    /// The first error appending spans to [`Opts::trace`], if any.
+    pub fn trace_error(&self) -> Option<&str> {
+        self.trace_failed.get().map(String::as_str)
     }
 
     /// Runs a system kind on a configuration. With [`Opts::trace`] set, the

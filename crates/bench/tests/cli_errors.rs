@@ -67,6 +67,23 @@ fn unusable_out_dir_or_trace_file_exits_2_before_any_run() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A trace file that opens but cannot be written (`/dev/full` accepts the
+/// open and fails every write) exits 2 before any result file is written,
+/// on both the streaming (one experiment) and buffered (several) paths.
+#[test]
+fn unwritable_trace_file_exits_2() {
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let out = scratch_dir("full");
+    assert_usage_error(&["--trace", "/dev/full", "fig9"], &out);
+    assert_usage_error(
+        &["--trace", "/dev/full", "--jobs", "2", "fig9", "fig2"],
+        &out,
+    );
+    let _ = std::fs::remove_dir_all(&out);
+}
+
 #[test]
 fn unreadable_or_malformed_spec_exits_2() {
     let out = scratch_dir("spec");

@@ -5,7 +5,8 @@
 //! not seen before. The contract holding the store honest: the image
 //! reconstructed from a manifest's chunk keys must equal a fresh
 //! `encode_state` of the same snapshot as a value, the manifest's recorded
-//! fingerprint must match it, and the manifest chain must verify. These
+//! fingerprint must match it, the manifest chain must verify, and a live
+//! state verified against another point's manifest must be rejected. These
 //! tests sweep that property across 16 seeds of generated chaos schedules,
 //! then soak a tight cadence (hundreds of checkpoints in one run) and prove
 //! a resume off the full manifest chain.
@@ -62,8 +63,14 @@ fn reconstructed_images_match_fresh_encodes_across_chaos_seeds() {
             let manifest = store.manifest(ckpt.manifest_id).unwrap_or_else(|| {
                 panic!("seed {seed}: checkpoint {} manifest missing", ckpt.index)
             });
-            let reconstructed = store.verify(manifest).unwrap_or_else(|e| {
+            LaminarSystem::verify_checkpoint(&store, ckpt).unwrap_or_else(|e| {
                 panic!("seed {seed}: checkpoint {} failed verify: {e}", ckpt.index)
+            });
+            let reconstructed = store.reconstruct(manifest).unwrap_or_else(|e| {
+                panic!(
+                    "seed {seed}: checkpoint {} failed reconstruct: {e}",
+                    ckpt.index
+                )
             });
             assert_eq!(
                 reconstructed, fresh,
@@ -79,6 +86,21 @@ fn reconstructed_images_match_fresh_encodes_across_chaos_seeds() {
             store
                 .verify_chain(manifest.id)
                 .unwrap_or_else(|e| panic!("seed {seed}: broken manifest chain: {e}"));
+        }
+        // A live state paired with another point's manifest must not verify.
+        for pair in checkpoints.windows(2) {
+            let mut swapped = pair[1].clone();
+            swapped.manifest_id = pair[0].manifest_id;
+            if LaminarSystem::encode_state(&pair[0].state)
+                != LaminarSystem::encode_state(&swapped.state)
+            {
+                assert!(
+                    LaminarSystem::verify_checkpoint(&store, &swapped).is_err(),
+                    "seed {seed}: checkpoint {} verified against checkpoint {}'s manifest",
+                    pair[1].index,
+                    pair[0].index
+                );
+            }
         }
     }
 }

@@ -22,9 +22,7 @@
 
 use super::{Ev, LaminarSystem, World};
 use laminar_data::{Eviction, ExperienceBuffer, PartialResponsePool, Sampler};
-use laminar_runtime::delta::{
-    encode_report_plane, encode_span_batch, StateImage, StatePlane, WordEnc, SPAN_BATCH,
-};
+use laminar_runtime::delta::{encode_report_plane, StateImage, StatePlane, WordEnc};
 use laminar_runtime::recovery::{Recoverable, RunSnapshot};
 use laminar_runtime::{RunReport, SpanKind, SystemConfig, TraceSink};
 use laminar_sim::hash::fnv1a_bytes;
@@ -274,29 +272,30 @@ fn driver_plane(sim: &Simulation<World>) -> StatePlane {
 fn audit_plane(w: &World) -> StatePlane {
     let a = &w.audit;
     let mut plane = StatePlane::new("audit");
-    let mut head = vec![
-        a.faults_applied,
-        a.redirects,
-        a.repooled,
-        a.breaker_blocked,
-        a.degraded_entries,
-        a.admitted.len() as u64,
-        a.completion_log.len() as u64,
-        a.version_history.len() as u64,
-        a.violations.len() as u64,
-    ];
-    head.extend(a.violations.iter().map(|v| fnv1a_bytes(v.as_bytes())));
-    plane.push_chunk(head);
-    let admitted: Vec<u64> = a.admitted.iter().copied().collect();
-    plane.extend_paged(&admitted);
+    plane.chunk_with(|out| {
+        out.extend([
+            a.faults_applied,
+            a.redirects,
+            a.repooled,
+            a.breaker_blocked,
+            a.degraded_entries,
+            a.admitted.len() as u64,
+            a.completion_log.len() as u64,
+            a.version_history.len() as u64,
+            a.violations.len() as u64,
+        ]);
+        out.extend(a.violations.iter().map(|v| fnv1a_bytes(v.as_bytes())));
+    });
+    plane.paged_with(|out| out.extend(a.admitted.iter().copied()));
     // The completion log is the append-only view of `completed` (which is
     // its per-id multiset), so paging it covers the map without the
     // mid-stream shifts out-of-id-order completions would cause.
     plane.extend_paged(&a.completion_log);
     for (r, h) in a.version_history.iter().enumerate() {
-        let mut words = vec![r as u64, h.len() as u64];
-        words.extend(h.iter().copied());
-        plane.push_chunk(words);
+        plane.chunk_with(|out| {
+            out.extend([r as u64, h.len() as u64]);
+            out.extend(h.iter().copied());
+        });
     }
     plane
 }
@@ -306,9 +305,10 @@ fn audit_plane(w: &World) -> StatePlane {
 fn queue_plane(sched: &Scheduler<Ev>) -> StatePlane {
     let mut plane = StatePlane::new("queue");
     for (at, seq, ev) in sched.pending_entries() {
-        let mut words = vec![at.as_nanos(), seq];
-        encode_ev(ev, &mut words);
-        plane.push_chunk(words);
+        plane.chunk_with(|out| {
+            out.extend([at.as_nanos(), seq]);
+            encode_ev(ev, out);
+        });
     }
     plane
 }
@@ -346,9 +346,7 @@ fn encode_ev(ev: &Ev, out: &mut Vec<u64>) {
 fn pool_plane(w: &World) -> StatePlane {
     let mut plane = StatePlane::new("pool");
     for spec in &w.pool {
-        let mut words = Vec::new();
-        spec.encode_words(&mut words);
-        plane.push_chunk(words);
+        plane.chunk_with(|out| spec.encode_words(out));
     }
     plane
 }
@@ -356,15 +354,12 @@ fn pool_plane(w: &World) -> StatePlane {
 /// Pool counters plus one chunk per in-flight partial response, id-sorted.
 fn partials_plane(p: &PartialResponsePool) -> StatePlane {
     let mut plane = StatePlane::new("partials");
-    plane.push_chunk(vec![p.total_updates(), p.recovered(), p.len() as u64]);
+    plane.push_chunk(&[p.total_updates(), p.recovered(), p.len() as u64]);
     let mut ids = p.ids();
     ids.sort_unstable();
     for id in ids {
-        let mut words = Vec::new();
-        p.get(id)
-            .expect("listed id present")
-            .encode_words(&mut words);
-        plane.push_chunk(words);
+        let partial = p.get(id).expect("listed id present");
+        plane.chunk_with(|out| partial.encode_words(out));
     }
     plane
 }
@@ -390,11 +385,9 @@ fn buffer_plane(b: &ExperienceBuffer) -> StatePlane {
         .u(stats.sampled)
         .u(stats.evicted);
     let mut plane = StatePlane::new("buffer");
-    plane.push_chunk(head.take());
+    plane.push_chunk(head.words());
     for exp in b.iter() {
-        let mut words = Vec::new();
-        exp.encode_words(&mut words);
-        plane.push_chunk(words);
+        plane.chunk_with(|out| exp.encode_words(out));
     }
     plane
 }
@@ -405,40 +398,31 @@ fn buffer_plane(b: &ExperienceBuffer) -> StatePlane {
 fn engines_plane(w: &World) -> StatePlane {
     let mut plane = StatePlane::new("engines");
     for eng in &w.engines {
-        let mut scalars = Vec::new();
-        eng.checkpoint_scalar_words(&mut scalars);
-        plane.push_chunk(scalars);
+        plane.chunk_with(|out| eng.checkpoint_scalar_words(out));
         for (_, st) in eng.active_states() {
-            let mut words = Vec::new();
-            st.encode_words(&mut words);
-            plane.push_chunk(words);
+            plane.chunk_with(|out| st.encode_words(out));
         }
         for st in eng.waiting_states() {
-            let mut words = Vec::new();
-            st.encode_words(&mut words);
-            plane.push_chunk(words);
+            plane.chunk_with(|out| st.encode_words(out));
         }
         for done in eng.completions() {
-            let mut words = Vec::new();
-            done.encode_words(&mut words);
-            plane.push_chunk(words);
+            plane.chunk_with(|out| done.encode_words(out));
         }
     }
     plane
 }
 
-/// Driver span batches followed by each engine's, [`SPAN_BATCH`] spans per
-/// chunk. Span streams are append-only between commits (engines buffer
-/// spans until the final drain), so only the tail batch of each source
+/// Driver span batches followed by each engine's,
+/// [`SPAN_BATCH`](laminar_runtime::delta::SPAN_BATCH) spans per chunk.
+/// Span streams are append-only between commits (engines buffer spans
+/// until the final drain), so only the tail batch of each source
 /// changes per cadence and the store deduplicates the frozen full batches.
 fn spans_plane(w: &World) -> StatePlane {
     let mut plane = StatePlane::new("spans");
     let sources =
         std::iter::once(&w.trace_spans[..]).chain(w.engines.iter().map(|e| e.trace_spans()));
     for spans in sources {
-        for batch in spans.chunks(SPAN_BATCH) {
-            plane.push_chunk(encode_span_batch(batch));
-        }
+        plane.extend_span_batches(spans);
     }
     plane
 }

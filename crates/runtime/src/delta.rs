@@ -9,27 +9,33 @@
 //! mutation dirties only the chunks it touched. Planes without natural
 //! boundaries (scalar blocks, append-only streams) are paginated into
 //! fixed [`PAGE_WORDS`] chunks, where appends dirty only the tail page.
+//! A plane stores its chunks flat — one word arena plus chunk end offsets —
+//! and encoders write each chunk straight into the arena
+//! ([`StatePlane::chunk_with`]), so encoding a state costs a handful of
+//! allocations per plane rather than one per chunk.
 //!
 //! A [`DeltaStore`] persists chunks content-addressed by their FNV-1a key:
 //! committing an image writes only chunks whose key is not already stored
 //! and records a [`Manifest`] — the ordered chunk-key lists per plane, a
-//! whole-state fingerprint, and a link to the parent manifest. The delta
-//! cost of a cadence point is therefore the bytes of its *new* chunks plus
-//! the manifest, not the whole state; [`CommitStats`] accounts both so the
-//! checkpoint-soak spec can gate on the ratio.
+//! whole-state fingerprint, and a link to the parent manifest. Commit
+//! computes every chunk key and the fingerprint in one pass over the
+//! words. The delta cost of a cadence point is therefore the bytes of its
+//! *new* chunks plus the manifest, not the whole state; [`CommitStats`]
+//! accounts both so the checkpoint-soak spec can gate on the ratio.
 //!
-//! Restore runs the protocol in reverse: [`DeltaStore::reconstruct`]
-//! reassembles the image from a manifest's chunk keys,
-//! [`DeltaStore::verify`] additionally proves the reassembled image hashes
-//! to the manifest's recorded fingerprint, and
+//! Restore runs the protocol in reverse: [`DeltaStore::verify`] walks a
+//! manifest's chunk keys against the store in one pass, proving every
+//! chunk is present, the stored chunks hash to the manifest's recorded
+//! fingerprint, and a freshly encoded live image equals them word for
+//! word — a full chunk-integrity + state-identity check that
 //! [`Recoverable::resume_verified`](crate::recovery::Recoverable::resume_verified)
-//! refuses to resume unless the in-memory snapshot re-encodes to that same
-//! fingerprint — a full chunk-integrity + state-identity check before any
-//! event replays.
+//! runs before any event replays. [`DeltaStore::reconstruct`] reassembles
+//! the image a manifest describes as a value.
 
 use crate::report::RunReport;
-use laminar_sim::hash::{fnv1a, fnv1a_bytes, fnv1a_fold, FNV_OFFSET};
+use laminar_sim::hash::{fnv1a, fnv1a_bytes, fnv1a_word, FNV_OFFSET};
 use laminar_sim::{Time, TraceSpan};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Words per page for planes encoded as flat streams. 32 words = 256 bytes:
@@ -41,13 +47,16 @@ pub const PAGE_WORDS: usize = 32;
 /// run, so full batches keep their chunk keys and only the tail batch is new.
 pub const SPAN_BATCH: usize = 8;
 
-/// One named plane of a state image: an ordered list of word chunks.
+/// One named plane of a state image: an ordered list of word chunks,
+/// stored flat as one word arena plus each chunk's end offset.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StatePlane {
     /// Stable plane name (part of the fingerprint domain).
     pub name: &'static str,
-    /// Ordered chunks; concatenated they form the plane's word stream.
-    pub chunks: Vec<Vec<u64>>,
+    /// Every chunk's words, concatenated in plane order.
+    words: Vec<u64>,
+    /// Exclusive end offset of each chunk in `words`.
+    ends: Vec<usize>,
 }
 
 impl StatePlane {
@@ -55,25 +64,68 @@ impl StatePlane {
     pub fn new(name: &'static str) -> Self {
         StatePlane {
             name,
-            chunks: Vec::new(),
+            words: Vec::new(),
+            ends: Vec::new(),
         }
     }
 
-    /// Appends one natural-granularity chunk.
-    pub fn push_chunk(&mut self, words: Vec<u64>) {
-        self.chunks.push(words);
+    /// Appends one natural-granularity chunk, written in place by `f`:
+    /// every word `f` pushes onto the arena belongs to the new chunk.
+    pub fn chunk_with(&mut self, f: impl FnOnce(&mut Vec<u64>)) {
+        f(&mut self.words);
+        self.ends.push(self.words.len());
+    }
+
+    /// Appends one chunk copied from `words`.
+    pub fn push_chunk(&mut self, words: &[u64]) {
+        self.chunk_with(|w| w.extend_from_slice(words));
+    }
+
+    /// Appends a flat word stream, written in place by `f`, split into
+    /// [`PAGE_WORDS`]-sized page chunks. An empty stream adds no chunk.
+    pub fn paged_with(&mut self, f: impl FnOnce(&mut Vec<u64>)) {
+        let start = self.words.len();
+        f(&mut self.words);
+        let end = self.words.len();
+        if end > start {
+            self.ends
+                .extend((start + PAGE_WORDS..end).step_by(PAGE_WORDS));
+            self.ends.push(end);
+        }
     }
 
     /// Splits a flat word stream into [`PAGE_WORDS`]-sized page chunks.
     pub fn extend_paged(&mut self, words: &[u64]) {
-        for page in words.chunks(PAGE_WORDS) {
-            self.chunks.push(page.to_vec());
+        self.paged_with(|w| w.extend_from_slice(words));
+    }
+
+    /// Appends `spans` as [`SPAN_BATCH`]-span chunks, so an append-only
+    /// span stream dirties only its final chunk.
+    pub fn extend_span_batches(&mut self, spans: &[TraceSpan]) {
+        for batch in spans.chunks(SPAN_BATCH) {
+            self.chunk_with(|w| batch.iter().for_each(|s| encode_span(s, w)));
         }
+    }
+
+    /// Number of chunks.
+    pub fn chunk_count(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The words of chunk `i`.
+    pub fn chunk(&self, i: usize) -> &[u64] {
+        let start = i.checked_sub(1).map_or(0, |j| self.ends[j]);
+        &self.words[start..self.ends[i]]
+    }
+
+    /// The chunks in plane order.
+    pub fn chunks(&self) -> impl ExactSizeIterator<Item = &[u64]> + '_ {
+        (0..self.ends.len()).map(|i| self.chunk(i))
     }
 
     /// Total words across all chunks.
     pub fn len_words(&self) -> u64 {
-        self.chunks.iter().map(|c| c.len() as u64).sum()
+        self.words.len() as u64
     }
 }
 
@@ -111,19 +163,53 @@ impl StateImage {
     /// chunk structure, and words. Two states are delta-equivalent iff
     /// their images fingerprint equal.
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        let mut fold = |w: u64| h = fnv1a_fold(h, &w.to_le_bytes());
+        let mut fold = Fingerprint::new();
         for plane in &self.planes {
-            fold(fnv1a_bytes(plane.name.as_bytes()));
-            fold(plane.chunks.len() as u64);
-            for chunk in &plane.chunks {
-                fold(chunk.len() as u64);
-                for &w in chunk {
-                    fold(w);
-                }
-            }
+            fold.plane(plane.name, plane.chunk_count());
+            plane.chunks().for_each(|c| fold.chunk(c));
         }
-        h
+        fold.0
+    }
+}
+
+/// The running whole-state fingerprint [`StateImage::fingerprint`] defines,
+/// fed plane by plane so commit and verify fold it inside their own single
+/// pass over the words.
+struct Fingerprint(u64);
+
+impl Fingerprint {
+    fn new() -> Self {
+        Fingerprint(FNV_OFFSET)
+    }
+
+    /// Folds a plane header: name hash, then chunk count.
+    fn plane(&mut self, name: &str, chunks: usize) {
+        self.0 = fnv1a_word(
+            fnv1a_word(self.0, fnv1a_bytes(name.as_bytes())),
+            chunks as u64,
+        );
+    }
+
+    /// Folds one chunk: length, then words.
+    fn chunk(&mut self, words: &[u64]) {
+        self.0 = words
+            .iter()
+            .fold(fnv1a_word(self.0, words.len() as u64), |h, &w| {
+                fnv1a_word(h, w)
+            });
+    }
+
+    /// Folds one chunk and returns its [`chunk_key`]; the two independent
+    /// hash chains advance in the same loop over the words.
+    fn keyed_chunk(&mut self, words: &[u64]) -> u64 {
+        let len = words.len() as u64;
+        let (mut h, mut key) = (fnv1a_word(self.0, len), fnv1a_word(FNV_OFFSET, len));
+        for &w in words {
+            h = fnv1a_word(h, w);
+            key = fnv1a_word(key, w);
+        }
+        self.0 = h;
+        key
     }
 }
 
@@ -136,8 +222,8 @@ pub fn chunk_key(words: &[u64]) -> u64 {
 /// One plane's entry in a manifest: the ordered chunk keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlaneManifest {
-    /// Plane name.
-    pub name: String,
+    /// Plane name, as the encoder that committed the plane named it.
+    pub name: &'static str,
     /// Total words the keys cover.
     pub len_words: u64,
     /// Chunk keys in plane order.
@@ -191,7 +277,7 @@ pub struct CommitStats {
 /// Content-addressed chunk store plus the manifest chain.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaStore {
-    chunks: HashMap<u64, Vec<u64>>,
+    chunks: HashMap<u64, Box<[u64]>>,
     manifests: Vec<Manifest>,
 }
 
@@ -203,50 +289,55 @@ impl DeltaStore {
 
     /// Commits `image` at cadence instant `at`: writes chunks not already
     /// stored, appends a manifest linked to the previous commit, and
-    /// returns the manifest id with the commit's cost accounting.
+    /// returns the manifest id with the commit's cost accounting. Chunk
+    /// keys and the whole-state fingerprint come from one pass over the
+    /// image's words.
     pub fn commit(&mut self, at: Time, image: &StateImage) -> (u64, CommitStats) {
+        let index = self.manifests.len();
         let parent = self.manifests.last().map(|m| m.id);
         let mut stats = CommitStats {
             whole_bytes: image.total_bytes(),
             ..CommitStats::default()
         };
+        let mut fold = Fingerprint::new();
         let mut planes = Vec::with_capacity(image.planes().len());
         for plane in image.planes() {
-            let mut keys = Vec::with_capacity(plane.chunks.len());
-            for chunk in &plane.chunks {
-                let key = chunk_key(chunk);
+            fold.plane(plane.name, plane.chunk_count());
+            let mut keys = Vec::with_capacity(plane.chunk_count());
+            for chunk in plane.chunks() {
+                let key = fold.keyed_chunk(chunk);
                 stats.chunks_total += 1;
-                if let std::collections::hash_map::Entry::Vacant(e) = self.chunks.entry(key) {
+                if let Entry::Vacant(e) = self.chunks.entry(key) {
                     stats.chunks_new += 1;
                     stats.delta_bytes += 8 * chunk.len() as u64;
-                    e.insert(chunk.clone());
+                    e.insert(chunk.into());
                 } else {
                     stats.chunks_reused += 1;
                 }
                 keys.push(key);
             }
             planes.push(PlaneManifest {
-                name: plane.name.to_string(),
+                name: plane.name,
                 len_words: plane.len_words(),
                 keys,
             });
         }
-        let fingerprint = image.fingerprint();
-        let mut id_words = vec![
-            self.manifests.len() as u64,
+        let fingerprint = fold.0;
+        // The id is FNV-1a over the manifest's contents: header words, then
+        // each plane's name hash, length and keys.
+        let header = [
+            index as u64,
             at.as_nanos(),
             parent.unwrap_or(0),
             fingerprint,
         ];
-        for p in &planes {
-            id_words.push(fnv1a_bytes(p.name.as_bytes()));
-            id_words.push(p.len_words);
-            id_words.extend(p.keys.iter().copied());
-        }
-        let id = fnv1a(id_words);
+        let id = planes.iter().fold(fnv1a(header), |h, p| {
+            let h = fnv1a_word(fnv1a_word(h, fnv1a_bytes(p.name.as_bytes())), p.len_words);
+            p.keys.iter().fold(h, |h, &k| fnv1a_word(h, k))
+        });
         let manifest = Manifest {
             id,
-            index: self.manifests.len(),
+            index,
             at,
             parent,
             planes,
@@ -277,43 +368,90 @@ impl DeltaStore {
         8 * self.chunks.values().map(|c| c.len() as u64).sum::<u64>()
     }
 
+    /// The stored chunk `key` that `plane` of `manifest` references.
+    fn stored(
+        &self,
+        manifest: &Manifest,
+        plane: &PlaneManifest,
+        key: u64,
+    ) -> Result<&[u64], String> {
+        self.chunks.get(&key).map(|c| &c[..]).ok_or_else(|| {
+            format!(
+                "manifest {:016x}: plane `{}` references missing chunk {key:016x}",
+                manifest.id, plane.name
+            )
+        })
+    }
+
     /// Reassembles the full state image a manifest describes. Fails if any
     /// referenced chunk is missing from the store.
     pub fn reconstruct(&self, manifest: &Manifest) -> Result<StateImage, String> {
         let mut image = StateImage::new();
         for plane in &manifest.planes {
-            let mut chunks = Vec::with_capacity(plane.keys.len());
+            let mut out = StatePlane::new(plane.name);
             for &key in &plane.keys {
-                let chunk = self.chunks.get(&key).ok_or_else(|| {
-                    format!(
-                        "manifest {:016x}: plane `{}` references missing chunk {key:016x}",
-                        manifest.id, plane.name
-                    )
-                })?;
-                chunks.push(chunk.clone());
+                out.push_chunk(self.stored(manifest, plane, key)?);
             }
-            // Plane names in images are &'static str; reconstruction leaks
-            // nothing because every plane name a manifest can hold was
-            // interned by an encoder at commit time.
-            let name: &'static str = Box::leak(plane.name.clone().into_boxed_str());
-            image.push_plane(StatePlane { name, chunks });
+            image.push_plane(out);
         }
         Ok(image)
     }
 
-    /// Reconstructs and verifies: the reassembled image must hash to the
-    /// manifest's recorded whole-state fingerprint. This is the integrity
-    /// gate resume runs before trusting any checkpoint.
-    pub fn verify(&self, manifest: &Manifest) -> Result<StateImage, String> {
-        let image = self.reconstruct(manifest)?;
-        let got = image.fingerprint();
-        if got != manifest.fingerprint {
-            return Err(format!(
-                "manifest {:016x}: reconstructed fingerprint {got:016x} != recorded {:016x}",
-                manifest.id, manifest.fingerprint
+    /// Verifies a manifest against the store and the live state it claims
+    /// to describe, in one pass over the stored chunks and without copying
+    /// any out: every referenced chunk must be present, the stored chunks
+    /// must hash to the manifest's recorded fingerprint, and `live` must
+    /// equal them plane for plane and chunk for chunk. This is the
+    /// integrity gate resume runs before trusting any checkpoint.
+    pub fn verify(&self, manifest: &Manifest, live: &StateImage) -> Result<(), String> {
+        let mut fold = Fingerprint::new();
+        let mut live_diff: Option<String> = None;
+        if live.planes().len() != manifest.planes.len() {
+            live_diff = Some(format!(
+                "{} planes, manifest has {}",
+                live.planes().len(),
+                manifest.planes.len()
             ));
         }
-        Ok(image)
+        for (p, plane) in manifest.planes.iter().enumerate() {
+            fold.plane(plane.name, plane.keys.len());
+            let live_plane = live
+                .planes()
+                .get(p)
+                .filter(|l| l.name == plane.name && l.chunk_count() == plane.keys.len());
+            if live_plane.is_none() {
+                live_diff.get_or_insert_with(|| {
+                    format!(
+                        "plane {p} is not `{}` of {} chunks",
+                        plane.name,
+                        plane.keys.len()
+                    )
+                });
+            }
+            for (i, &key) in plane.keys.iter().enumerate() {
+                let stored = self.stored(manifest, plane, key)?;
+                fold.chunk(stored);
+                if live_diff.is_none() && live_plane.is_some_and(|l| l.chunk(i) != stored) {
+                    live_diff = Some(format!(
+                        "plane `{}` chunk {i} differs from stored chunk {key:016x}",
+                        plane.name
+                    ));
+                }
+            }
+        }
+        if fold.0 != manifest.fingerprint {
+            return Err(format!(
+                "manifest {:016x}: stored chunks fingerprint {:016x} != recorded {:016x}",
+                manifest.id, fold.0, manifest.fingerprint
+            ));
+        }
+        match live_diff {
+            Some(d) => Err(format!(
+                "manifest {:016x}: live state differs from the stored image: {d}",
+                manifest.id
+            )),
+            None => Ok(()),
+        }
     }
 
     /// Walks the parent chain from `id` back to the root, returning the
@@ -333,6 +471,14 @@ impl DeltaStore {
             }
         }
         Ok(len)
+    }
+}
+
+#[cfg(test)]
+impl DeltaStore {
+    /// The raw chunk map, for tests that corrupt or lose stored chunks.
+    pub(crate) fn chunks_mut(&mut self) -> &mut HashMap<u64, Box<[u64]>> {
+        &mut self.chunks
     }
 }
 
@@ -398,7 +544,7 @@ impl WordEnc {
 }
 
 /// Encodes one trace span as 6 words (stable across planes and systems).
-pub fn encode_span(s: &TraceSpan, out: &mut Vec<u64>) {
+fn encode_span(s: &TraceSpan, out: &mut Vec<u64>) {
     out.push(span_kind_word(s));
     out.push(s.start.as_nanos());
     out.push(s.end.as_nanos());
@@ -427,20 +573,8 @@ fn span_kind_word(s: &TraceSpan) -> u64 {
 /// Append-only span streams therefore dirty only their final chunk.
 pub fn encode_span_plane(name: &'static str, spans: &[TraceSpan]) -> StatePlane {
     let mut plane = StatePlane::new(name);
-    for batch in spans.chunks(SPAN_BATCH) {
-        plane.push_chunk(encode_span_batch(batch));
-    }
+    plane.extend_span_batches(spans);
     plane
-}
-
-/// Encodes one span batch as a single chunk (shared by every span plane
-/// so chunk boundaries — and hence keys — agree).
-pub fn encode_span_batch(batch: &[TraceSpan]) -> Vec<u64> {
-    let mut words = Vec::with_capacity(6 * batch.len());
-    for s in batch {
-        encode_span(s, &mut words);
-    }
-    words
 }
 
 /// Encodes a full run report (every vector, series, and scalar) as a
@@ -451,7 +585,7 @@ pub fn encode_span_batch(batch: &[TraceSpan]) -> Vec<u64> {
 /// only each touched section's tail page re-keys.
 pub fn encode_report_plane(name: &'static str, r: &RunReport) -> StatePlane {
     let mut plane = StatePlane::new(name);
-    let head = vec![
+    plane.push_chunk(&[
         fnv1a_bytes(r.system.as_bytes()),
         r.throughput.to_bits(),
         r.generation_fraction.to_bits(),
@@ -468,39 +602,32 @@ pub fn encode_report_plane(name: &'static str, r: &RunReport) -> StatePlane {
         r.gen_series.len() as u64,
         r.train_series.len() as u64,
         r.staleness_by_finish.len() as u64,
-    ];
-    plane.push_chunk(head);
-    let mut sec: Vec<u64> = Vec::new();
+    ]);
     for vec in [
         &r.iteration_secs,
         &r.iteration_tokens,
         &r.rollout_waits,
         &r.latencies,
     ] {
-        sec.clear();
-        sec.extend(vec.iter().map(|x| x.to_bits()));
-        plane.extend_paged(&sec);
+        plane.paged_with(|w| w.extend(vec.iter().map(|x| x.to_bits())));
     }
-    sec.clear();
-    for c in &r.consumed {
-        sec.push(c.staleness);
-        sec.push(c.mixed_version as u64);
-    }
-    plane.extend_paged(&sec);
-    for series in [&r.gen_series, &r.train_series] {
-        sec.clear();
-        for &(t, v) in series.points() {
-            sec.push(t.as_nanos());
-            sec.push(v.to_bits());
+    plane.paged_with(|w| {
+        for c in &r.consumed {
+            w.extend([c.staleness, c.mixed_version as u64]);
         }
-        plane.extend_paged(&sec);
+    });
+    for series in [&r.gen_series, &r.train_series] {
+        plane.paged_with(|w| {
+            for &(t, v) in series.points() {
+                w.extend([t.as_nanos(), v.to_bits()]);
+            }
+        });
     }
-    sec.clear();
-    for &(frac, s) in &r.staleness_by_finish {
-        sec.push(frac.to_bits());
-        sec.push(s);
-    }
-    plane.extend_paged(&sec);
+    plane.paged_with(|w| {
+        for &(frac, s) in &r.staleness_by_finish {
+            w.extend([frac.to_bits(), s]);
+        }
+    });
     plane
 }
 
@@ -512,7 +639,7 @@ mod tests {
         let mut img = StateImage::new();
         let mut plane = StatePlane::new("test");
         for c in chunks {
-            plane.push_chunk(c);
+            plane.push_chunk(&c);
         }
         img.push_plane(plane);
         img
@@ -537,24 +664,100 @@ mod tests {
     #[test]
     fn reconstruct_verifies_fingerprint() {
         let mut store = DeltaStore::new();
-        let img = image(vec![vec![9, 9], vec![1]]);
+        let img = image(vec![vec![9, 9], vec![], vec![1]]);
         let (id, _) = store.commit(Time::from_secs(1), &img);
-        let m = store.manifest(id).expect("manifest").clone();
-        let back = store.verify(&m).expect("verify");
-        assert_eq!(back.fingerprint(), img.fingerprint());
-        assert_eq!(back.total_bytes(), img.total_bytes());
+        let m = store.manifest(id).expect("manifest");
+        assert_eq!(m.fingerprint, img.fingerprint());
+        assert_eq!(store.reconstruct(m).expect("reconstruct"), img);
+        store.verify(m, &img).expect("verify");
     }
 
     #[test]
     fn tampered_manifest_fails_verify() {
         let mut store = DeltaStore::new();
-        let (id, _) = store.commit(Time::from_secs(1), &image(vec![vec![1, 2]]));
+        let img = image(vec![vec![1, 2]]);
+        let (id, _) = store.commit(Time::from_secs(1), &img);
         let mut m = store.manifest(id).expect("manifest").clone();
         m.fingerprint ^= 1;
-        assert!(store.verify(&m).is_err());
+        assert!(store.verify(&m, &img).is_err());
         m.fingerprint ^= 1;
         m.planes[0].keys[0] ^= 1;
         assert!(store.reconstruct(&m).is_err());
+        assert!(store.verify(&m, &img).is_err());
+    }
+
+    #[test]
+    fn altered_stored_chunk_fails_verify() {
+        let mut store = DeltaStore::new();
+        let img = image(vec![vec![1, 2], vec![3, 4]]);
+        let (id, _) = store.commit(Time::from_secs(1), &img);
+        let key = chunk_key(&[3, 4]);
+        store.chunks_mut().get_mut(&key).expect("stored")[1] = 5;
+        let err = store
+            .verify(store.manifest(id).expect("manifest"), &img)
+            .expect_err("altered chunk verified");
+        assert!(err.contains("fingerprint"), "{err}");
+    }
+
+    #[test]
+    fn missing_chunk_fails_verify() {
+        let mut store = DeltaStore::new();
+        let img = image(vec![vec![1, 2], vec![3, 4]]);
+        let (id, _) = store.commit(Time::from_secs(1), &img);
+        store.chunks_mut().remove(&chunk_key(&[1, 2]));
+        let err = store
+            .verify(store.manifest(id).expect("manifest"), &img)
+            .expect_err("missing chunk verified");
+        assert!(err.contains("missing chunk"), "{err}");
+    }
+
+    #[test]
+    fn live_image_must_equal_the_stored_one() {
+        let mut store = DeltaStore::new();
+        let img = image(vec![vec![1, 2], vec![3, 4]]);
+        let (id, _) = store.commit(Time::from_secs(1), &img);
+        let m = store.manifest(id).expect("manifest");
+        for live in [
+            image(vec![vec![1, 2], vec![3, 5]]),
+            image(vec![vec![1, 2]]),
+            image(vec![vec![1, 2], vec![3, 4], vec![]]),
+            image(vec![vec![1, 2, 3], vec![4]]),
+            StateImage::new(),
+        ] {
+            let err = store
+                .verify(m, &live)
+                .expect_err("differing live image verified");
+            assert!(err.contains("live state differs"), "{err}");
+        }
+        let mut renamed = StatePlane::new("other");
+        renamed.push_chunk(&[1, 2]);
+        renamed.push_chunk(&[3, 4]);
+        let mut live = StateImage::new();
+        live.push_plane(renamed);
+        assert!(store.verify(m, &live).is_err());
+    }
+
+    #[test]
+    fn flat_planes_chunk_like_their_streams() {
+        let stream: Vec<u64> = (0..70).collect();
+        let mut p = StatePlane::new("p");
+        p.chunk_with(|w| w.extend([7, 8]));
+        p.extend_paged(&stream);
+        p.paged_with(|_| {});
+        p.push_chunk(&[]);
+        let chunks: Vec<&[u64]> = p.chunks().collect();
+        assert_eq!(
+            chunks,
+            [
+                &[7, 8][..],
+                &stream[..32],
+                &stream[32..64],
+                &stream[64..],
+                &[]
+            ]
+        );
+        assert_eq!(p.chunk_count(), 5);
+        assert_eq!(p.len_words(), 72);
     }
 
     #[test]
@@ -610,14 +813,14 @@ mod tests {
             })
             .collect();
         let p = encode_span_plane("spans", &spans);
-        assert_eq!(p.chunks.len(), 3); // 8 + 8 + 4
+        assert_eq!(p.chunk_count(), 3); // 8 + 8 + 4
         assert_eq!(p.len_words(), 6 * 20);
         // Appending spans keeps the full batches' chunk keys.
         let mut more = spans.clone();
         more.push(spans[0]);
         let p2 = encode_span_plane("spans", &more);
-        assert_eq!(p.chunks[0], p2.chunks[0]);
-        assert_eq!(p.chunks[1], p2.chunks[1]);
-        assert_ne!(p.chunks[2], p2.chunks[2]);
+        assert_eq!(p.chunk(0), p2.chunk(0));
+        assert_eq!(p.chunk(1), p2.chunk(1));
+        assert_ne!(p.chunk(2), p2.chunk(2));
     }
 }

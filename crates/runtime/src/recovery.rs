@@ -88,8 +88,8 @@ pub trait Recoverable: RlSystem {
     /// fingerprint of the canonical state image. Checkpoint descriptor
     /// files persist this so `--resume-from` can verify that a
     /// deterministic replay reconstructed the same state before resuming,
-    /// and manifests record it so [`resume_verified`] can prove a
-    /// reconstructed image matches the live state bit for bit.
+    /// and manifests record it so [`resume_verified`] can prove the stored
+    /// chunks are the ones committed.
     ///
     /// [`resume_verified`]: Recoverable::resume_verified
     fn fingerprint(snapshot: &Self::Snapshot) -> u64 {
@@ -127,34 +127,24 @@ pub trait Recoverable: RlSystem {
     }
 
     /// Verifies one committed checkpoint without resuming it: the manifest
-    /// chain must be intact, the image reconstructed from the store must
-    /// hash to the manifest's recorded fingerprint, and the in-memory
-    /// resume state must re-encode to that same fingerprint.
+    /// chain must be intact, every chunk the manifest references must be
+    /// stored, the stored chunks must hash to the manifest's recorded
+    /// fingerprint, and the in-memory resume state must re-encode to an
+    /// image equal to the stored one, chunk for chunk. The live state is
+    /// encoded once and compared in the same pass that folds the stored
+    /// chunks ([`DeltaStore::verify`]).
     fn verify_checkpoint(
         store: &DeltaStore,
         checkpoint: &DeltaCheckpoint<Self::Snapshot>,
     ) -> Result<(), String> {
-        let manifest = store
-            .manifest(checkpoint.manifest_id)
-            .ok_or_else(|| {
-                format!(
-                    "checkpoint {} references unknown manifest {:016x}",
-                    checkpoint.index, checkpoint.manifest_id
-                )
-            })?
-            .clone();
+        let manifest = store.manifest(checkpoint.manifest_id).ok_or_else(|| {
+            format!(
+                "checkpoint {} references unknown manifest {:016x}",
+                checkpoint.index, checkpoint.manifest_id
+            )
+        })?;
         store.verify_chain(manifest.id)?;
-        let image = store.verify(&manifest)?;
-        let live = Self::fingerprint(&checkpoint.state);
-        if live != image.fingerprint() {
-            return Err(format!(
-                "checkpoint {}: live state fingerprint {live:016x} != reconstructed \
-                 image fingerprint {:016x}",
-                checkpoint.index,
-                image.fingerprint()
-            ));
-        }
-        Ok(())
+        store.verify(manifest, &Self::encode_state(&checkpoint.state))
     }
 
     /// Resumes a delta checkpoint only after the full
@@ -265,9 +255,9 @@ impl ResumeEquivalence {
 /// Runs `sys` three ways — uninterrupted, delta-checkpointed at `every`,
 /// and resumed from the checkpoints `resume` selects — and verifies that
 /// report text and trace JSONL are byte-identical across all of them.
-/// Every committed manifest is verified (chain intact, reconstructed image
-/// hashes to the recorded fingerprint, live state re-encodes to the same
-/// fingerprint), and a checkpoint resumes only after it verifies.
+/// Every committed manifest is verified (chain intact, stored chunks hash
+/// to the recorded fingerprint, live state re-encodes to the stored image),
+/// and a checkpoint resumes only after it verifies.
 pub fn check_resume_equivalence<S: Recoverable>(
     sys: &S,
     cfg: &SystemConfig,
@@ -332,5 +322,120 @@ pub fn check_resume_equivalence<S: Recoverable>(
         fingerprints_verified,
         cost,
         first_divergence,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::delta::{chunk_key, StatePlane};
+
+    /// A toy recoverable system whose state is a two-page word stream.
+    struct Pages;
+
+    impl RlSystem for Pages {
+        fn name(&self) -> &'static str {
+            "pages"
+        }
+
+        fn run_traced(&self, _cfg: &SystemConfig, _trace: &mut dyn TraceSink) -> RunReport {
+            RunReport::default()
+        }
+    }
+
+    impl Recoverable for Pages {
+        type Snapshot = Vec<u64>;
+
+        fn run_checkpointed(
+            &self,
+            _cfg: &SystemConfig,
+            _every: Duration,
+            _trace: &mut dyn TraceSink,
+        ) -> (RunReport, Vec<RunSnapshot<Vec<u64>>>) {
+            unreachable!("the tests commit states directly")
+        }
+
+        fn resume(&self, _snapshot: Vec<u64>, _trace: &mut dyn TraceSink) -> RunReport {
+            RunReport::default()
+        }
+
+        fn encode_state(snapshot: &Vec<u64>) -> StateImage {
+            let mut plane = StatePlane::new("pages");
+            plane.extend_paged(snapshot);
+            let mut img = StateImage::new();
+            img.push_plane(plane);
+            img
+        }
+    }
+
+    /// Point `i`'s state: a first page shared by every point and a second
+    /// page unique to it.
+    fn state(i: u64) -> Vec<u64> {
+        (0..64)
+            .map(|w| if w < 32 { w } else { w + 100 * i })
+            .collect()
+    }
+
+    /// Commits three points and returns the store and their checkpoints.
+    fn committed() -> (DeltaStore, Vec<DeltaCheckpoint<Vec<u64>>>) {
+        let mut store = DeltaStore::new();
+        let checkpoints = (0..3)
+            .map(|i| {
+                let at = Time::from_secs(i + 1);
+                let (manifest_id, stats) = store.commit(at, &Pages::encode_state(&state(i)));
+                DeltaCheckpoint {
+                    at,
+                    index: i as usize,
+                    manifest_id,
+                    stats,
+                    state: state(i),
+                }
+            })
+            .collect();
+        (store, checkpoints)
+    }
+
+    #[test]
+    fn intact_checkpoints_verify() {
+        let (store, checkpoints) = committed();
+        for c in &checkpoints {
+            Pages::verify_checkpoint(&store, c).expect("intact checkpoint");
+        }
+    }
+
+    #[test]
+    fn altered_stored_chunk_is_rejected() {
+        let (mut store, checkpoints) = committed();
+        let key = chunk_key(&state(1)[32..]);
+        store.chunks_mut().get_mut(&key).expect("stored")[0] ^= 1;
+        let err = Pages::verify_checkpoint(&store, &checkpoints[1]).expect_err("verified");
+        assert!(err.contains("fingerprint"), "{err}");
+        // Points that never referenced the altered chunk still verify.
+        Pages::verify_checkpoint(&store, &checkpoints[0]).expect("untouched point");
+    }
+
+    #[test]
+    fn live_state_differing_from_its_manifest_is_rejected() {
+        let (store, mut checkpoints) = committed();
+        checkpoints[2].manifest_id = checkpoints[1].manifest_id;
+        let err = Pages::verify_checkpoint(&store, &checkpoints[2]).expect_err("verified");
+        assert!(err.contains("live state differs"), "{err}");
+    }
+
+    #[test]
+    fn missing_chunk_is_rejected() {
+        let (mut store, checkpoints) = committed();
+        store.chunks_mut().remove(&chunk_key(&state(0)[..32]));
+        for c in &checkpoints {
+            let err = Pages::verify_checkpoint(&store, c).expect_err("verified");
+            assert!(err.contains("missing chunk"), "{err}");
+        }
+    }
+
+    #[test]
+    fn unknown_manifest_is_rejected() {
+        let (store, mut checkpoints) = committed();
+        checkpoints[0].manifest_id ^= 1;
+        assert!(Pages::verify_checkpoint(&store, &checkpoints[0]).is_err());
     }
 }

@@ -19,11 +19,15 @@ pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
     fnv1a_fold(FNV_OFFSET, bytes)
 }
 
+/// Folds one word, as its little-endian bytes, into the running state `h`.
+#[inline]
+pub fn fnv1a_word(h: u64, w: u64) -> u64 {
+    fnv1a_fold(h, &w.to_le_bytes())
+}
+
 /// FNV-1a over a word stream, each word folded as its little-endian bytes.
 pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
-    words
-        .into_iter()
-        .fold(FNV_OFFSET, |h, w| fnv1a_fold(h, &w.to_le_bytes()))
+    words.into_iter().fold(FNV_OFFSET, fnv1a_word)
 }
 
 #[cfg(test)]
